@@ -1,9 +1,9 @@
 // Microbenchmark of the simulator's cost-attribution hot path.
 //
-// Every simulated message pays Machine::charge + Machine::observe, so the
-// events/sec of those paths bounds the input sizes every paper-claim bench
-// can reach. The shapes cover the attribution regimes the algorithms
-// produce:
+// Every simulated message pays one Machine accrual (the per-phase fold is
+// deferred to phase transitions and queries), so the events/sec of that
+// path bounds the input sizes every paper-claim bench can reach. The
+// shapes cover the attribution regimes the algorithms produce:
 //   * flat            — no phase scopes (pure counter adds);
 //   * single_phase    — one active scope (the common leaf case);
 //   * deep_recursive  — D nested scopes with distinct names, the worst
@@ -45,7 +45,7 @@ constexpr int kEventsPerBatch = 4096;
 
 // One batch of charged messages under whatever phase stack is active.
 // Alternating unit-distance hops: every send is charged (distance 1) and
-// runs the full charge + observe attribution path.
+// runs the full scalar accrual path.
 void run_event_batch(Machine& m) {
   Clock c{};
   for (int i = 0; i < kEventsPerBatch; ++i) {

@@ -18,6 +18,7 @@
 
 #include "spatial/grid_array.hpp"
 #include "spatial/machine.hpp"
+#include "spatial/phase.hpp"
 
 #include <cassert>
 #include <functional>
@@ -125,7 +126,8 @@ void broadcast_rect(Machine& m, const Rect& rect, const Cell<T>& val,
 template <class T>
 [[nodiscard]] GridArray<T> broadcast(Machine& m, const Rect& rect,
                                      const Cell<T>& src) {
-  Machine::PhaseScope scope(m, "broadcast");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("broadcast");
+  Machine::PhaseScope scope(m, kPhase);
   GridArray<T> out(rect, Layout::kRowMajor, rect.size());
   auto store = [&](Coord c, const Cell<T>& v) {
     out[(c.row - rect.row0) * rect.cols + (c.col - rect.col0)] = v;

@@ -12,6 +12,7 @@
 #include "collectives/operators.hpp"
 #include "spatial/grid_array.hpp"
 #include "spatial/machine.hpp"
+#include "spatial/phase.hpp"
 
 #include <cassert>
 #include <optional>
@@ -156,7 +157,8 @@ std::optional<Cell<T>> reduce_rect(Machine& m, const Rect& rect, Get&& get,
 template <class T, class Op>
 [[nodiscard]] Cell<T> reduce(Machine& m, const GridArray<T>& a, Op op) {
   assert(!a.empty());
-  Machine::PhaseScope scope(m, "reduce");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("reduce");
+  Machine::PhaseScope scope(m, kPhase);
   std::optional<Cell<T>> result =
       detail::reduce_rect<T>(m, a.region(), detail::ElementAt<T>(a), op);
   assert(result.has_value());
@@ -169,7 +171,8 @@ template <class T, class Op>
 template <class T, class Op>
 [[nodiscard]] GridArray<T> all_reduce(Machine& m, const GridArray<T>& a,
                                       Op op) {
-  Machine::PhaseScope scope(m, "all_reduce");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("all_reduce");
+  Machine::PhaseScope scope(m, kPhase);
   const Cell<T> total = reduce(m, a, op);
   return broadcast(m, a.region(), total);
 }

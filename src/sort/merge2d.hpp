@@ -29,6 +29,7 @@
 #include "spatial/grid_array.hpp"
 #include "spatial/independence.hpp"
 #include "spatial/machine.hpp"
+#include "spatial/phase.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -81,7 +82,9 @@ GridArray<T> merge_base(Machine& m, const std::vector<const GridArray<T>*>& in,
   // The gather deliberately parks up to base_size (a compile-time O(1)
   // constant) words on the corner processor; its own phase scope declares
   // that residency window to the conformance checker.
-  Machine::PhaseScope scope(m, "merge2d/base");
+  static const PhaseId kPhase =
+      PhaseRegistry::instance().intern("merge2d/base");
+  Machine::PhaseScope scope(m, kPhase);
   const Coord work = zorder_coord(region, dst_offset);
 
   struct Gathered {
@@ -198,7 +201,8 @@ template <class T, class Less>
   const index_t n = a.size() + b.size();
   assert(dst_offset + n <= region.size());
   if (n == 0) return GridArray<T>(region, Layout::kZOrder, 0, dst_offset);
-  Machine::PhaseScope scope(m, "merge2d");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("merge2d");
+  Machine::PhaseScope scope(m, kPhase);
 
   // One-sided or constant-sized merges resolve directly.
   if (a.empty() || b.empty() || n <= config.base_size) {

@@ -30,6 +30,7 @@
 #include "sort/allpairs.hpp"
 #include "spatial/grid_array.hpp"
 #include "spatial/machine.hpp"
+#include "spatial/phase.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -236,7 +237,9 @@ template <class T, class Less>
     }
   }
   if (pending.empty()) return results;
-  Machine::PhaseScope scope(m, "rank_select_two_sorted");
+  static const PhaseId kPhase =
+      PhaseRegistry::instance().intern("rank_select_two_sorted");
+  Machine::PhaseScope scope(m, kPhase);
 
   // Any Theta(sqrt n) spacing realizes Lemma V.6; doubling it halves the
   // sample, and the sample sort's m^{5/2} scratch-area term shrinks by

@@ -15,6 +15,8 @@
 #include "spatial/machine.hpp"
 #include "spatial/zorder.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <span>
 #include <utility>
@@ -105,12 +107,37 @@ class GridArray {
   /// This is a host-side simulator cache — 16 bytes per element on the
   /// simulating machine, not storage charged to the model's O(1)-memory
   /// processors. Bulk routines force it so their inner loops do array
-  /// loads instead of per-element Morton decodes.
+  /// loads instead of per-element Morton decodes. The cache is built by
+  /// walking the layout rather than decoding every position: a Z-order
+  /// array decodes once per aligned 256-position block and ORs in the
+  /// block-local offset from a table (the bits are disjoint); a row-major
+  /// array divides once at `offset_` and steps row and column.
   [[nodiscard]] std::span<const Coord> coords() const {
     if (coords_.empty() && !cells_.empty()) {
       coords_.reserve(cells_.size());
-      for (index_t i = 0; i < size(); ++i) {
-        coords_.push_back(compute_coord(offset_ + i));
+      const index_t end = offset_ + size();
+      if (layout_ == Layout::kRowMajor) {
+        index_t r = offset_ / region_.cols;
+        index_t c = offset_ % region_.cols;
+        for (index_t pos = offset_; pos < end; ++pos) {
+          coords_.push_back(Coord{region_.row0 + r, region_.col0 + c});
+          if (++c == region_.cols) {
+            c = 0;
+            ++r;
+          }
+        }
+      } else {
+        const std::array<Offset2D, kBlock>& low = block_offsets();
+        for (index_t pos = offset_; pos < end;) {
+          const index_t block = pos & ~(kBlock - 1);
+          const Offset2D high = zorder_decode(block);
+          const index_t stop = std::min(end, block + kBlock);
+          for (; pos < stop; ++pos) {
+            const Offset2D lo = low[static_cast<size_t>(pos - block)];
+            coords_.push_back(Coord{region_.row0 + (high.row | lo.row),
+                                    region_.col0 + (high.col | lo.col)});
+          }
+        }
       }
     }
     return coords_;
@@ -164,6 +191,23 @@ class GridArray {
   }
 
  private:
+  // Z-order positions per coords() block: a power of 4, so the low bits
+  // hold whole (row, column) bit pairs and a position's decoded offset is
+  // its block base's offset ORed with that of its low bits.
+  static constexpr index_t kBlock = 256;
+
+  // zorder_decode(z) for every z in [0, kBlock).
+  static const std::array<Offset2D, kBlock>& block_offsets() {
+    static const std::array<Offset2D, kBlock> table = [] {
+      std::array<Offset2D, kBlock> t{};
+      for (index_t z = 0; z < kBlock; ++z) {
+        t[static_cast<size_t>(z)] = zorder_decode(z);
+      }
+      return t;
+    }();
+    return table;
+  }
+
   Coord compute_coord(index_t pos) const {
     if (layout_ == Layout::kRowMajor) {
       return region_.at(pos / region_.cols, pos % region_.cols);

@@ -31,8 +31,7 @@ Clock Machine::send(Coord from, Coord to, Clock payload) {
   const index_t dist = manhattan(from, to);
   if (dist == 0) return payload;
   const Clock arrival = payload.after_hop(dist);
-  charge(dist, 1);
-  observe(arrival);
+  accrue(dist, 1, 0, arrival);
   emit([&](TraceSink& s) {
     s.on_message(from, to, dist);
     s.on_send(MessageEvent{from, to, dist, payload, arrival});
@@ -66,7 +65,7 @@ void Machine::send_bulk(std::span<MessageEvent> batch) {
     parallel::BulkAggregate agg;
     if (eng->charge_send_bulk(batch, agg)) {
       if (agg.messages == 0) return;
-      apply_send_aggregate(agg.energy, agg.messages, agg.max_clock);
+      accrue(agg.energy, agg.messages, 0, agg.max_clock);
       emit([&](TraceSink& s) { s.on_send_bulk(batch); });
       return;
     }
@@ -89,32 +88,18 @@ void Machine::send_bulk(std::span<MessageEvent> batch) {
     max = Clock::join(max, e.arrival);
   }
   if (messages == 0) return;
-  apply_send_aggregate(energy, messages, max);
+  // One accrual for the whole batch. Identical to the scalar path's
+  // per-message accruals because sums commute and Clock::join is an
+  // associative/commutative max; the whole batch is attributed to the
+  // phase set active at this call (phases cannot change mid-batch by
+  // contract).
+  accrue(energy, messages, 0, max);
   emit([&](TraceSink& s) { s.on_send_bulk(batch); });
-}
-
-void Machine::apply_send_aggregate(index_t energy, index_t messages,
-                                   Clock max) {
-  // One flush into the totals and each active phase. Identical to the
-  // scalar path's per-message charge/observe because sums commute and
-  // Clock::join is an associative/commutative max; the whole batch is
-  // attributed to the phase set active at this call (phases cannot change
-  // mid-batch by contract).
-  totals_.energy += energy;
-  totals_.messages += messages;
-  totals_.max_clock = Clock::join(totals_.max_clock, max);
-  for (const PhaseId id : active_) {
-    Metrics& pm = slot(id);
-    pm.energy += energy;
-    pm.messages += messages;
-    pm.max_clock = Clock::join(pm.max_clock, max);
-  }
 }
 
 void Machine::op(index_t n) {
   assert(n >= 0);
-  totals_.local_ops += n;
-  for (const PhaseId id : active_) slot(id).local_ops += n;
+  accrue(0, 0, n, Clock{});
   emit([&](TraceSink& s) { s.on_op(n); });
 }
 
@@ -126,13 +111,7 @@ void Machine::op_bulk(index_t n) {
   op(n);
 }
 
-void Machine::observe(Clock c) {
-  totals_.max_clock = Clock::join(totals_.max_clock, c);
-  for (const PhaseId id : active_) {
-    Metrics& pm = slot(id);
-    pm.max_clock = Clock::join(pm.max_clock, c);
-  }
-}
+void Machine::observe(Clock c) { accrue(0, 0, 0, c); }
 
 void Machine::birth(Coord at, Clock c) {
   observe(c);
@@ -172,8 +151,24 @@ void Machine::death_bulk(std::span<const Coord> batch) {
   emit([&](TraceSink& s) { s.on_death_bulk(batch); });
 }
 
+void Machine::fold_pending() const {
+  if (!pending_any_) return;
+  for (const PhaseId id : active_) {
+    Metrics& pm = slot(id);
+    pm.energy += pending_.energy;
+    pm.messages += pending_.messages;
+    pm.local_ops += pending_.local_ops;
+    pm.max_clock = Clock::join(pm.max_clock, pending_.max_clock);
+  }
+  pending_ = Metrics{};
+  pending_any_ = false;
+}
+
 void Machine::reset() {
   totals_ = Metrics{};
+  // Pending charges predate the reset: discard them with the records.
+  pending_ = Metrics{};
+  pending_any_ = false;
   ++phases_version_;  // per-phase records mutate: invalidate phases() cache
   for (const PhaseId id : touched_) {
     phase_totals_[id] = Metrics{};
@@ -187,6 +182,7 @@ void Machine::reset() {
 }
 
 const std::map<std::string, Metrics>& Machine::phases() const {
+  fold_pending();
   if (phases_cache_version_ == phases_version_) return phases_cache_;
   const PhaseRegistry& registry = PhaseRegistry::instance();
   phases_cache_.clear();
@@ -198,33 +194,17 @@ const std::map<std::string, Metrics>& Machine::phases() const {
 }
 
 const Metrics& Machine::phase(std::string_view name) const {
-  static const Metrics kEmpty{};
-  const PhaseId id = PhaseRegistry::instance().find(name);
-  if (id == kNoPhase || id >= touched_flag_.size() ||
-      touched_flag_[id] == 0) {
-    return kEmpty;
-  }
-  return phase_totals_[id];
+  return phase(PhaseRegistry::instance().find(name));
 }
 
 const Metrics& Machine::phase(PhaseId id) const {
   static const Metrics kEmpty{};
+  fold_pending();
   if (id == kNoPhase || id >= touched_flag_.size() ||
       touched_flag_[id] == 0) {
     return kEmpty;
   }
   return phase_totals_[id];
-}
-
-void Machine::charge(index_t energy, index_t messages) {
-  assert(energy >= 0 && messages >= 0);
-  totals_.energy += energy;
-  totals_.messages += messages;
-  for (const PhaseId id : active_) {
-    Metrics& pm = slot(id);
-    pm.energy += energy;
-    pm.messages += messages;
-  }
 }
 
 void Machine::begin_phase(std::string_view name) {
@@ -239,6 +219,7 @@ void Machine::begin_phase(PhaseId id) {
     touched_flag_.resize(size, 0);
     phase_totals_.resize(size);
   }
+  fold_pending();
   phase_stack_.push_back(id);
   // First occurrence on the stack: the phase joins the attribution set.
   // Deeper re-entries of the same name only bump the count, which is the
@@ -249,6 +230,7 @@ void Machine::begin_phase(PhaseId id) {
 
 void Machine::end_phase() {
   if (phase_stack_.empty()) return;
+  fold_pending();
   const PhaseId id = phase_stack_.back();
   phase_stack_.pop_back();
   if (--stack_count_[id] == 0) {

@@ -14,11 +14,13 @@
 //
 // Named phases give per-stage cost breakdowns for benchmarks and ablations.
 // Phase names are interned into dense PhaseIds (spatial/phase.hpp) and the
-// attribution engine works purely on integers: charging a message is
-// O(active distinct phases) integer adds with zero string hashing or
-// comparison. The name-level deduplication recursive algorithms need (a
-// phase stacked at every recursion level is attributed once) happens at
-// phase transitions, not per event.
+// attribution engine works purely on integers. Charging an event is O(1):
+// it adds to the totals and to one pending record. The set of distinct
+// active phases only changes at phase transitions, so the pending record
+// is folded into each of them there (and before any per-phase query) —
+// exact, because sums and Clock::join commute. The name-level
+// deduplication recursive algorithms need (a phase stacked at every
+// recursion level is attributed once) also happens at transitions.
 #pragma once
 
 #include "spatial/clock.hpp"
@@ -27,6 +29,7 @@
 #include "spatial/phase.hpp"
 #include "spatial/trace.hpp"
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -62,9 +65,9 @@ class Machine {
   /// batch order: same totals, same per-phase records, same events as
   /// observed through the default TraceSink replay. The speedup comes
   /// from amortization: energy/messages/clock maxima accumulate in a
-  /// tight local loop, the active-phase set is resolved once per batch
-  /// (phases cannot change mid-batch — the whole batch is attributed to
-  /// the phase set active at this call), and attached sinks receive one
+  /// tight local loop and are accrued once per batch (phases cannot
+  /// change mid-batch — the whole batch is attributed to the phase set
+  /// active at this call), and attached sinks receive one
   /// on_send_bulk event instead of up to two virtual dispatches per
   /// message. No event is emitted when every entry is zero-length.
   ///
@@ -124,25 +127,27 @@ class Machine {
   /// guaranteed). Nested phases accumulate into every active scope, so
   /// "sort" includes its "sort/merge" children; a phase appears once it
   /// has at least one attributed event. The materialization is cached and
-  /// invalidated whenever any per-phase record mutates (charging under an
-  /// active phase, or reset), so report paths that query it repeatedly —
-  /// cost_report, the run-report exporter, the A/B harness — pay the
-  /// string-keyed map build once per change, not once per call. Registry
-  /// growth alone cannot change the output (names are immutable per id and
-  /// a phase appears only once touched), so it does not invalidate. The
-  /// reference stays valid until the Machine is destroyed; its *contents*
-  /// refresh on the next phases() call after a mutation.
+  /// invalidated whenever any per-phase record mutates (folding charges
+  /// made under an active phase, or reset), so report paths that query it
+  /// repeatedly — cost_report, the run-report exporter, the A/B harness —
+  /// pay the string-keyed map build once per change, not once per call.
+  /// Registry growth alone cannot change the output (names are immutable
+  /// per id and a phase appears only once touched), so it does not
+  /// invalidate. The reference stays valid until the Machine is destroyed;
+  /// its *contents* refresh on the next phases() call after a mutation.
   [[nodiscard]] const std::map<std::string, Metrics>& phases() const;
 
   /// Costs recorded under a phase name; a zero Metrics if never entered.
-  /// The reference is stable across further charging and phase
+  /// The reference stays valid across further charging and phase
   /// transitions (per-phase records never move), so hot query paths pay
-  /// no Metrics copy.
+  /// no Metrics copy. Its contents are current as of the last per-phase
+  /// query or phase transition: charges made since then are folded in by
+  /// the next one.
   [[nodiscard]] const Metrics& phase(std::string_view name) const;
 
   /// Id-indexed form of phase(): costs recorded under the interned phase
-  /// `id`, zero Metrics if never touched. Stable reference; the
-  /// zero-string-work accessor for hot query loops.
+  /// `id`, zero Metrics if never touched. Stable reference, with the same
+  /// currency rule; the zero-string-work accessor for hot query loops.
   [[nodiscard]] const Metrics& phase(PhaseId id) const;
 
   /// The ids of every phase with at least one attributed event since the
@@ -152,6 +157,7 @@ class Machine {
   /// into a freshly built string-keyed map on each call and exists for
   /// report-time snapshots.
   [[nodiscard]] std::span<const PhaseId> touched_phases() const {
+    fold_pending();
     return touched_;
   }
 
@@ -195,19 +201,36 @@ class Machine {
   };
 
  private:
-  void charge(index_t energy, index_t messages);
+  /// Adds an event's contribution to the totals and to the pending record
+  /// that fold_pending() later attributes to every active phase.
+  void accrue(index_t energy, index_t messages, index_t local_ops, Clock c) {
+    assert(energy >= 0 && messages >= 0 && local_ops >= 0);
+    add(totals_, energy, messages, local_ops, c);
+    add(pending_, energy, messages, local_ops, c);
+    pending_any_ = true;
+  }
 
-  /// One merged flush of a send batch into the totals and every active
-  /// phase — the single code path shared by the serial bulk loop and the
-  /// parallel engine's merged aggregate, so both are bit-identical by
-  /// construction.
-  void apply_send_aggregate(index_t energy, index_t messages, Clock max);
+  static void add(Metrics& m, index_t energy, index_t messages,
+                  index_t local_ops, Clock c) {
+    m.energy += energy;
+    m.messages += messages;
+    m.local_ops += local_ops;
+    m.max_clock = Clock::join(m.max_clock, c);
+  }
+
+  /// Attributes the pending record to every phase in `active_` and clears
+  /// it. Called at every phase transition and before every per-phase
+  /// read, so the active set is the one every pending event was charged
+  /// under. Any event, even one of zero value (op(0), observing a zero
+  /// clock), marks the active phases touched. `const` because the read
+  /// paths are; everything it writes is `mutable`.
+  void fold_pending() const;
 
   /// The per-phase record for `id`, marking it as touched (= it will
   /// appear in phases()). Precondition: `id` is on the phase stack, so the
   /// per-id tables were sized by begin_phase. Callers mutate the returned
   /// record, so this is the phases()-cache invalidation point.
-  Metrics& slot(PhaseId id) {
+  Metrics& slot(PhaseId id) const {
     ++phases_version_;
     if (touched_flag_[id] == 0) {
       touched_flag_[id] = 1;
@@ -231,21 +254,24 @@ class Machine {
   // phase ids currently on the stack, ordered by the stack position of
   // each id's first (outermost) occurrence; `stack_count_[id]` counts the
   // occurrences of `id` on the stack. begin/end_phase maintain both in
-  // O(1), so the per-event loops in charge/op/observe touch each distinct
-  // active phase exactly once with no dedup scan. All id-indexed tables
-  // are sized to the PhaseRegistry on demand at phase entry; per-phase
-  // Metrics live in a deque so references handed out by phase() stay
-  // valid as the id space grows.
+  // O(1). Events accrue into `pending_` alone; fold_pending() adds it to
+  // each distinct active phase exactly once, with no dedup scan, whenever
+  // `active_` is about to change or a per-phase record is read. All
+  // id-indexed tables are sized to the PhaseRegistry on demand at phase
+  // entry; per-phase Metrics live in a deque so references handed out by
+  // phase() stay valid as the id space grows.
   std::vector<PhaseId> phase_stack_;
   std::vector<PhaseId> active_;
   std::vector<index_t> stack_count_;
-  std::deque<Metrics> phase_totals_;
-  std::vector<char> touched_flag_;
-  std::vector<PhaseId> touched_;
+  mutable Metrics pending_{};
+  mutable bool pending_any_{false};
+  mutable std::deque<Metrics> phase_totals_;
+  mutable std::vector<char> touched_flag_;
+  mutable std::vector<PhaseId> touched_;
 
   // phases() cache: rebuilt when phases_version_ (bumped on any per-phase
   // record mutation — slot() and reset()) outruns the cached version.
-  std::uint64_t phases_version_{0};
+  mutable std::uint64_t phases_version_{0};
   mutable std::map<std::string, Metrics> phases_cache_;
   mutable std::uint64_t phases_cache_version_{~std::uint64_t{0}};
 

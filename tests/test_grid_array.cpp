@@ -103,6 +103,66 @@ TEST(GridArray, CoordCacheMatchesComputedCoords) {
   }
 }
 
+// coords() walks the layout (Z-order: one decode per aligned 256-position
+// block plus a table lookup; row-major: one division, then stepping). Its
+// every entry must equal the on-the-fly coord(i) of a fresh array, which
+// decodes each position on its own.
+void expect_cache_matches_on_the_fly(const Rect& region, Layout layout,
+                                     index_t n, index_t offset) {
+  const GridArray<int> a(region, layout, n, offset);
+  std::vector<Coord> on_the_fly;
+  for (index_t i = 0; i < n; ++i) on_the_fly.push_back(a.coord(i));
+  const std::span<const Coord> cached = a.coords();
+  ASSERT_EQ(static_cast<index_t>(cached.size()), n);
+  for (index_t i = 0; i < n; ++i) {
+    ASSERT_EQ(cached[static_cast<size_t>(i)],
+              on_the_fly[static_cast<size_t>(i)])
+        << "rect=(" << region.row0 << "," << region.col0 << ","
+        << region.rows << "x" << region.cols << ") n=" << n
+        << " offset=" << offset << " i=" << i;
+  }
+}
+
+TEST(GridArray, ZOrderCoordCacheMatchesAcrossBlocks) {
+  // Sides 1..64: squares smaller than, equal to, and larger than one
+  // 256-position block (a 16 x 16 square), at origin and off origin.
+  for (const index_t side : {1, 2, 4, 8, 16, 32, 64}) {
+    for (const Coord origin : {Coord{0, 0}, Coord{5, 3}, Coord{-7, 100}}) {
+      const Rect region = square_at(origin, side);
+      const index_t size = region.size();
+      // Offsets unaligned and aligned to the block; lengths that stay
+      // inside one block, cross one or more boundaries, underfill the
+      // square, or fill it to the end.
+      for (const index_t offset : {0, 1, 3, 17, 255, 256, 257, 700, 1023}) {
+        if (offset >= size) continue;
+        for (const index_t n : {1, 2, 200, 255, 256, 600, 3000}) {
+          if (offset + n > size) continue;
+          expect_cache_matches_on_the_fly(region, Layout::kZOrder, n, offset);
+        }
+        expect_cache_matches_on_the_fly(region, Layout::kZOrder,
+                                        size - offset, offset);
+      }
+    }
+  }
+}
+
+TEST(GridArray, RowMajorCoordCacheMatchesWithOffsets) {
+  // Nonzero offsets landing mid-row and on row starts, non-origin
+  // regions, and 1-column / 1-row regions.
+  for (const Rect region : {Rect{0, 0, 5, 7}, Rect{-3, 11, 6, 4},
+                            Rect{2, 9, 9, 1}, Rect{4, -2, 1, 13}}) {
+    const index_t size = region.size();
+    for (index_t offset = 0; offset < size; ++offset) {
+      for (index_t n = 1; offset + n <= size; n += 3) {
+        expect_cache_matches_on_the_fly(region, Layout::kRowMajor, n,
+                                        offset);
+      }
+      expect_cache_matches_on_the_fly(region, Layout::kRowMajor,
+                                      size - offset, offset);
+    }
+  }
+}
+
 TEST(GridArray, EmptyArrayOnAnyRegion) {
   // n == 0 never decodes a layout position, so even degenerate and
   // non-power-of-two regions are legal in every layout.

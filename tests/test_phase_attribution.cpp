@@ -23,7 +23,10 @@ namespace {
 
 // The pre-interning attribution semantics, restated directly from the
 // model: an event is charged to phase_stack[i] iff no earlier stack entry
-// carries the same name. O(depth^2) per event — fine as a test oracle.
+// carries the same name, and is attributed at once (the Machine defers it
+// to the next transition or query). Every attributed event touches its
+// phases — even one of zero value — and touched names are recorded in
+// first-touch order. O(depth^2) per event — fine as a test oracle.
 class ReferenceAttribution {
  public:
   void begin(const std::string& name) { stack_.push_back(name); }
@@ -33,38 +36,46 @@ class ReferenceAttribution {
   }
 
   void charge(index_t energy, index_t messages) {
-    for (std::size_t i = 0; i < stack_.size(); ++i) {
-      if (first_occurrence(i)) {
-        Metrics& pm = totals_[stack_[i]];
-        pm.energy += energy;
-        pm.messages += messages;
-      }
-    }
+    attribute([&](Metrics& pm) {
+      pm.energy += energy;
+      pm.messages += messages;
+    });
   }
 
   void op(index_t n) {
-    for (std::size_t i = 0; i < stack_.size(); ++i) {
-      if (first_occurrence(i)) totals_[stack_[i]].local_ops += n;
-    }
+    attribute([&](Metrics& pm) { pm.local_ops += n; });
   }
 
   void observe(Clock c) {
-    for (std::size_t i = 0; i < stack_.size(); ++i) {
-      if (first_occurrence(i)) {
-        Metrics& pm = totals_[stack_[i]];
-        pm.max_clock = Clock::join(pm.max_clock, c);
-      }
-    }
+    attribute(
+        [&](Metrics& pm) { pm.max_clock = Clock::join(pm.max_clock, c); });
   }
 
   // Mirrors Machine::reset: records clear, the stack survives.
-  void reset() { totals_.clear(); }
+  void reset() {
+    totals_.clear();
+    order_.clear();
+  }
 
   [[nodiscard]] const std::map<std::string, Metrics>& phases() const {
     return totals_;
   }
 
+  [[nodiscard]] const std::vector<std::string>& touch_order() const {
+    return order_;
+  }
+
  private:
+  template <class Fn>
+  void attribute(Fn&& fn) {
+    for (std::size_t i = 0; i < stack_.size(); ++i) {
+      if (!first_occurrence(i)) continue;
+      const auto [it, inserted] = totals_.try_emplace(stack_[i]);
+      if (inserted) order_.push_back(stack_[i]);
+      fn(it->second);
+    }
+  }
+
   [[nodiscard]] bool first_occurrence(std::size_t i) const {
     for (std::size_t j = 0; j < i; ++j) {
       if (stack_[j] == stack_[i]) return false;
@@ -74,7 +85,14 @@ class ReferenceAttribution {
 
   std::vector<std::string> stack_;
   std::map<std::string, Metrics> totals_;
+  std::vector<std::string> order_;
 };
+
+// The Machine's per-phase read paths. Each one must fold charges made since
+// the last transition, so the tests query through one of them *first*.
+enum class Query { kPhases, kPhaseByName, kPhaseById, kTouchedPhases };
+constexpr Query kQueries[] = {Query::kPhases, Query::kPhaseByName,
+                              Query::kPhaseById, Query::kTouchedPhases};
 
 // Drives a Machine and the reference through the same event stream. Sends
 // use fresh unit-distance processor pairs so the harness-attached
@@ -115,8 +133,40 @@ class Harness {
     ref.reset();
   }
 
-  void expect_equivalent(const std::string& label) const {
+  // Compares every read path with the reference, querying through
+  // `first` before any other so that accessor alone must fold the pending
+  // charges.
+  void expect_equivalent(const std::string& label,
+                         Query first = Query::kPhases) const {
+    switch (first) {
+      case Query::kPhases:
+        EXPECT_EQ(machine.phases(), ref.phases()) << label;
+        break;
+      case Query::kPhaseByName:
+        for (const auto& [name, want] : ref.phases()) {
+          EXPECT_EQ(machine.phase(name), want) << label << " " << name;
+        }
+        break;
+      case Query::kPhaseById:
+        for (const auto& [name, want] : ref.phases()) {
+          EXPECT_EQ(machine.phase(PhaseRegistry::instance().find(name)), want)
+              << label << " " << name;
+        }
+        break;
+      case Query::kTouchedPhases:
+        EXPECT_EQ(touched_names(), ref.touch_order()) << label;
+        break;
+    }
+    EXPECT_EQ(touched_names(), ref.touch_order()) << label;
     EXPECT_EQ(machine.phases(), ref.phases()) << label;
+  }
+
+  [[nodiscard]] std::vector<std::string> touched_names() const {
+    std::vector<std::string> names;
+    for (const PhaseId id : machine.touched_phases()) {
+      names.push_back(PhaseRegistry::instance().name(id));
+    }
+    return names;
   }
 
   Machine machine;
@@ -222,13 +272,145 @@ TEST(PhaseAttribution, RandomizedSequencesMatchReference) {
                           static_cast<index_t>(rng() % 64)});
           break;
       }
-      if (step % 500 == 499) h.expect_equivalent("mid-run");
+      if (step % 125 == 124) {
+        h.expect_equivalent("mid-run", kQueries[(step / 125) % 4]);
+      }
     }
     while (depth > 0) {
       h.end();
       --depth;
     }
     h.expect_equivalent("seed " + std::to_string(seed));
+  }
+}
+
+TEST(PhaseAttribution, MidScopeQueriesSeeChargesWithoutATransition) {
+  for (const Query query : kQueries) {
+    Harness h;
+    h.begin("mid/outer");
+    h.send();
+    h.begin("mid/inner");
+    h.send();
+    h.op(2);
+    // No phase transition since the charges: the query alone must fold.
+    h.expect_equivalent("inner open", query);
+    h.send();
+    h.observe(Clock{9, 40});
+    h.expect_equivalent("after more charges", query);
+    // A query with nothing pending changes nothing.
+    h.expect_equivalent("repeated query", query);
+    h.end();
+    h.send();
+    h.expect_equivalent("outer only", query);
+    h.end();
+    h.expect_equivalent("closed", query);
+  }
+}
+
+TEST(PhaseAttribution, PhaseReferenceTracksPendingChargesOnQuery) {
+  Machine m;
+  Machine::PhaseScope scope(m, "live");
+  m.send({0, 0}, {0, 1}, Clock{});
+  const Metrics& record = m.phase("live");
+  EXPECT_EQ(record.energy, 1);
+  m.send({0, 2}, {0, 5}, Clock{});
+  // The held reference is current as of the last query: the next query
+  // (through any read path) folds the pending send into it.
+  EXPECT_EQ(m.phase(PhaseRegistry::instance().find("live")).energy, 4);
+  EXPECT_EQ(record.energy, 4);
+  EXPECT_EQ(record.messages, 2);
+}
+
+TEST(PhaseAttribution, ZeroValueEventsMarkPhasesTouched) {
+  for (const Query query : kQueries) {
+    Harness h;
+    h.begin("zero/op");
+    h.op(0);
+    h.expect_equivalent("op(0)", query);
+    h.end();
+    h.begin("zero/observe");
+    h.observe(Clock{});
+    h.expect_equivalent("observe(Clock{})", query);
+    h.end();
+    // An entered phase with no event at all is not touched.
+    h.begin("zero/never");
+    h.end();
+    h.expect_equivalent("no event", query);
+  }
+  Machine m;
+  {
+    Machine::PhaseScope a(m, "zero/op");
+    m.op(0);
+  }
+  {
+    Machine::PhaseScope b(m, "zero/observe");
+    m.observe(Clock{});
+  }
+  {
+    Machine::PhaseScope c(m, "zero/never");
+  }
+  EXPECT_EQ(m.phases().size(), 2U);
+  EXPECT_EQ(m.phases().at("zero/op"), Metrics{});
+  EXPECT_EQ(m.phases().at("zero/observe"), Metrics{});
+  EXPECT_EQ(m.phases().count("zero/never"), 0U);
+}
+
+TEST(PhaseAttribution, ResetDiscardsPendingChargesOfASpanningScope) {
+  for (const Query query : kQueries) {
+    Harness h;
+    h.begin("reset/outer");
+    h.begin("reset/inner");
+    // Charged and never queried: still pending when the reset lands.
+    h.send();
+    h.op(5);
+    h.observe(Clock{30, 300});
+    h.reset();
+    h.expect_equivalent("right after reset", query);
+    EXPECT_TRUE(h.machine.touched_phases().empty());
+    h.send();
+    h.expect_equivalent("charged after reset", query);
+    EXPECT_EQ(h.machine.phase("reset/outer").energy, 1);
+    EXPECT_EQ(h.machine.phase("reset/inner").max_clock, (Clock{1, 1}));
+    h.end();
+    h.op(1);
+    h.reset();
+    h.end();
+    h.expect_equivalent("reset then close", query);
+    EXPECT_TRUE(h.machine.phases().empty());
+  }
+}
+
+TEST(PhaseAttribution, FirstTouchOrderUnderNestedAndReenteredNames) {
+  for (const Query query : kQueries) {
+    Harness h;
+    // Entered first but charged last: touch order is not entry order.
+    h.begin("order/late");
+    h.end();
+    h.begin("order/a");
+    h.begin("order/b");
+    // Re-entering names already on the stack adds no new phase.
+    h.begin("order/a");
+    h.begin("order/b");
+    h.send();
+    h.expect_equivalent("re-entered", query);
+    h.end();
+    h.end();
+    h.begin("order/c");
+    h.begin("order/a");
+    h.op(1);
+    h.end();
+    h.end();
+    h.end();
+    h.end();
+    h.begin("order/late");
+    h.begin("order/b");
+    h.observe(Clock{2, 2});
+    h.end();
+    h.end();
+    h.expect_equivalent("closed", query);
+    EXPECT_EQ(h.touched_names(),
+              (std::vector<std::string>{"order/a", "order/b", "order/c",
+                                        "order/late"}));
   }
 }
 
