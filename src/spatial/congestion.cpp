@@ -9,13 +9,51 @@ namespace scm {
 
 namespace {
 
-/// Direction codes of LinkKey::dir; dimension-ordered routing only ever
-/// emits row steps (up/down) before column steps (left/right).
+/// Direction codes of the LinkLoad slots; dimension-ordered routing only
+/// ever emits row steps (up/down) before column steps (left/right).
 enum : std::uint8_t { kUp = 0, kDown = 1, kLeft = 2, kRight = 3 };
+
+/// The directed unit link leaving `from` in direction `dir`.
+Link link_of(Coord from, std::uint8_t dir) {
+  Coord to = from;
+  switch (dir) {
+    case kUp: to.row -= 1; break;
+    case kDown: to.row += 1; break;
+    case kLeft: to.col -= 1; break;
+    default: to.col += 1; break;
+  }
+  return Link{from, to};
+}
 
 std::string phase_label(PhaseId id) {
   return id == kNoPhase ? std::string("<top>")
                         : PhaseRegistry::instance().name(id);
+}
+
+/// Adds one unit to every directed link of the dimension-ordered route
+/// from -> to in `grid` (rows first, then columns, matching LoadMap; a
+/// message of Manhattan distance d crosses exactly d links), counting
+/// 0->1 slots into `links` and raising `peak` to the largest slot.
+void route_into(TileGrid<std::array<index_t, 4>>& grid, Coord from, Coord to,
+                index_t& links, index_t& peak) {
+  index_t touched = links;
+  index_t top = peak;
+  const auto leg = [&](Coord start, index_t dr, index_t dc, index_t n,
+                       std::uint8_t dir) {
+    grid.walk(start, dr, dc, n, [&](std::array<index_t, 4>& slots) {
+      index_t& slot = slots[dir];
+      if (slot++ == 0) ++touched;
+      top = std::max(top, slot);
+    });
+  };
+  const bool down = to.row > from.row;
+  const bool right = to.col > from.col;
+  leg(from, down ? 1 : -1, 0, std::abs(to.row - from.row),
+      down ? kDown : kUp);
+  leg(Coord{to.row, from.col}, 0, right ? 1 : -1,
+      std::abs(to.col - from.col), right ? kRight : kLeft);
+  links = touched;
+  peak = top;
 }
 
 }  // namespace
@@ -27,16 +65,13 @@ std::string Link::str() const {
   return os.str();
 }
 
-Link CongestionMap::link_of(LinkKey key) {
-  Coord from{key.row, key.col};
-  Coord to = from;
-  switch (key.dir) {
-    case kUp: to.row -= 1; break;
-    case kDown: to.row += 1; break;
-    case kLeft: to.col -= 1; break;
-    default: to.col += 1; break;
-  }
-  return Link{from, to};
+template <class F>
+void CongestionMap::for_each_link(F&& f) const {
+  load_.for_each([&f](Coord from, const std::array<index_t, 4>& slots) {
+    for (std::uint8_t dir = 0; dir < 4; ++dir) {
+      if (slots[dir] != 0) f(link_of(from, dir), slots[dir]);
+    }
+  });
 }
 
 CongestionMap::Bucket& CongestionMap::current_bucket() {
@@ -48,41 +83,19 @@ CongestionMap::Bucket& CongestionMap::current_bucket() {
   return *cached_bucket_;
 }
 
-void CongestionMap::bump(LinkKey key) {
-  index_t& slot = load_[key];
-  ++slot;
-  ++total_;
-  max_link_load_ = std::max(max_link_load_, slot);
+void CongestionMap::route(Coord from, Coord to) {
+  const index_t distance = manhattan(from, to);
+  if (distance == 0) return;  // crosses no link, opens no bucket
+  route_into(load_, from, to, links_, max_link_load_);
+  total_ += distance;
 
   Bucket& b = current_bucket();
-  index_t& bslot = b.load[key];
-  ++bslot;
-  ++b.occupancy;
-  if (bslot > b.peak) {
-    // The congested clock is the sum of bucket peaks; maintain it
-    // incrementally as each bucket's peak rises.
-    congested_clock_ += bslot - b.peak;
-    b.peak = bslot;
-  }
-}
-
-void CongestionMap::route(Coord from, Coord to) {
-  // Dimension-ordered routing, matching LoadMap: rows first, then
-  // columns. One directed link per unit step, so a message of Manhattan
-  // distance d contributes exactly d units of occupancy.
-  Coord cur = from;
-  const std::uint8_t row_dir = to.row > cur.row ? kDown : kUp;
-  const index_t row_step = to.row > cur.row ? 1 : -1;
-  while (cur.row != to.row) {
-    bump(LinkKey{cur.row, cur.col, row_dir});
-    cur.row += row_step;
-  }
-  const std::uint8_t col_dir = to.col > cur.col ? kRight : kLeft;
-  const index_t col_step = to.col > cur.col ? 1 : -1;
-  while (cur.col != to.col) {
-    bump(LinkKey{cur.row, cur.col, col_dir});
-    cur.col += col_step;
-  }
+  const index_t old_peak = b.peak;
+  route_into(b.load, from, to, b.links, b.peak);
+  b.occupancy += distance;
+  // The congested clock is the sum of bucket peaks; maintain it
+  // incrementally as each bucket's peak rises.
+  congested_clock_ += b.peak - old_peak;
 }
 
 void CongestionMap::on_message(Coord from, Coord to, index_t distance) {
@@ -131,6 +144,7 @@ void CongestionMap::on_reset() { clear(); }
 
 void CongestionMap::clear() {
   load_.clear();
+  links_ = 0;
   total_ = 0;
   messages_ = 0;
   max_link_load_ = 0;
@@ -159,17 +173,17 @@ index_t CongestionMap::occupancy(Link link) const {
   } else {
     return 0;  // not a unit link
   }
-  const auto it = load_.find(LinkKey{link.from.row, link.from.col, dir});
-  return it == load_.end() ? 0 : it->second;
+  const std::array<index_t, 4>* slots = load_.find(link.from);
+  return slots == nullptr ? 0 : (*slots)[dir];
 }
 
 std::vector<std::pair<Link, index_t>> CongestionMap::hotspot_links(
     std::size_t k) const {
   std::vector<std::pair<Link, index_t>> all;
-  all.reserve(load_.size());
-  for (const auto& [key, count] : load_) {
-    all.push_back({link_of(key), count});
-  }
+  all.reserve(static_cast<std::size_t>(links_));
+  for_each_link([&all](Link link, index_t count) {
+    all.push_back({link, count});
+  });
   k = std::min(k, all.size());
   std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(k),
                     all.end(), [](const auto& a, const auto& b) {
@@ -181,10 +195,10 @@ std::vector<std::pair<Link, index_t>> CongestionMap::hotspot_links(
 }
 
 index_t CongestionMap::percentile(double p) const {
-  if (load_.empty()) return 0;
+  if (links_ == 0) return 0;
   std::vector<index_t> loads;
-  loads.reserve(load_.size());
-  for (const auto& [key, count] : load_) loads.push_back(count);
+  loads.reserve(static_cast<std::size_t>(links_));
+  for_each_link([&loads](Link, index_t count) { loads.push_back(count); });
   p = std::clamp(p, 0.0, 100.0);
   // Nearest-rank: the smallest occupancy l such that at least
   // ceil(p% * n) touched links carry <= l.
@@ -198,10 +212,10 @@ index_t CongestionMap::percentile(double p) const {
 
 std::vector<std::pair<Link, index_t>> CongestionMap::sorted_links() const {
   std::vector<std::pair<Link, index_t>> all;
-  all.reserve(load_.size());
-  for (const auto& [key, count] : load_) {
-    all.push_back({link_of(key), count});
-  }
+  all.reserve(static_cast<std::size_t>(links_));
+  for_each_link([&all](Link link, index_t count) {
+    all.push_back({link, count});
+  });
   std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
     return a.first < b.first;
   });
@@ -210,8 +224,8 @@ std::vector<std::pair<Link, index_t>> CongestionMap::sorted_links() const {
 
 std::vector<index_t> CongestionMap::occupancy_multiset() const {
   std::vector<index_t> values;
-  values.reserve(load_.size());
-  for (const auto& [key, count] : load_) values.push_back(count);
+  values.reserve(static_cast<std::size_t>(links_));
+  for_each_link([&values](Link, index_t count) { values.push_back(count); });
   std::sort(values.begin(), values.end());
   return values;
 }
@@ -222,9 +236,7 @@ std::vector<CongestionMap::PhaseCongestion> CongestionMap::phase_congestion()
   out.reserve(phase_order_.size());
   for (const PhaseId id : phase_order_) {
     const Bucket& b = phases_.at(id);
-    out.push_back(PhaseCongestion{id, b.occupancy,
-                                  static_cast<index_t>(b.load.size()),
-                                  b.peak});
+    out.push_back(PhaseCongestion{id, b.occupancy, b.links, b.peak});
   }
   return out;
 }
@@ -271,58 +283,15 @@ std::string CongestionMap::ascii_report(std::size_t hotspots) const {
 }
 
 std::string CongestionMap::heatmap(index_t max_side) const {
-  if (load_.empty()) return "(no traffic)\n";
-  static const char kLevels[] = " .:-=+*#%@";
-  // Bounding box of touched link source cells, derived here rather than
-  // maintained per hop — exporting is cold, bump() is the hot path.
-  index_t min_row = 0;
-  index_t max_row = -1;
-  index_t min_col = 0;
-  index_t max_col = -1;
-  for (const auto& [key, count] : load_) {
-    if (max_row < min_row) {
-      min_row = max_row = key.row;
-      min_col = max_col = key.col;
-    } else {
-      min_row = std::min(min_row, key.row);
-      max_row = std::max(max_row, key.row);
-      min_col = std::min(min_col, key.col);
-      max_col = std::max(max_col, key.col);
-    }
-  }
   // Per-cell pressure: the maximum occupancy over the directed links
-  // leaving the cell, downsampled like LoadMap::heatmap.
-  const index_t rows = max_row - min_row + 1;
-  const index_t cols = max_col - min_col + 1;
-  const index_t bucket =
-      std::max<index_t>(1, (std::max(rows, cols) + max_side - 1) / max_side);
-  const index_t out_rows = (rows + bucket - 1) / bucket;
-  const index_t out_cols = (cols + bucket - 1) / bucket;
-
-  std::vector<index_t> grid(static_cast<size_t>(out_rows * out_cols), 0);
-  for (const auto& [key, count] : load_) {
-    const index_t r = (key.row - min_row) / bucket;
-    const index_t c = (key.col - min_col) / bucket;
-    index_t& slot = grid[static_cast<size_t>(r * out_cols + c)];
-    slot = std::max(slot, count);
-  }
-  index_t peak = 1;
-  for (index_t v : grid) peak = std::max(peak, v);
-
-  std::ostringstream os;
-  os << "link heatmap (" << rows << "x" << cols
-     << " cells, max outgoing-link load, bucket " << bucket << "x" << bucket
-     << ", peak " << peak << ")\n";
-  for (index_t r = 0; r < out_rows; ++r) {
-    for (index_t c = 0; c < out_cols; ++c) {
-      const index_t v = grid[static_cast<size_t>(r * out_cols + c)];
-      const auto idx = static_cast<std::size_t>(
-          (static_cast<double>(v) / static_cast<double>(peak)) * 9.0);
-      os << kLevels[std::min<std::size_t>(idx, 9)];
-    }
-    os << "\n";
-  }
-  return os.str();
+  // leaving the cell.
+  std::vector<std::pair<Coord, index_t>> cells;
+  load_.for_each([&cells](Coord at, const std::array<index_t, 4>& slots) {
+    const index_t v = *std::max_element(slots.begin(), slots.end());
+    if (v != 0) cells.push_back({at, v});
+  });
+  return detail::ascii_heatmap(cells, max_side, "link heatmap",
+                               ", max outgoing-link load");
 }
 
 std::string CongestionMap::chrome_counter_json() const {

@@ -33,6 +33,14 @@
 // congested clock is a fourth, strictly separate axis for comparing
 // algorithms on congestion robustness (docs/MODEL.md).
 //
+// Storage: the global and the per-phase link tables are TileGrids
+// (spatial/tile_grid.hpp) of four-slot cells, one slot per directed link
+// leaving the cell. A route is walked leg by leg through 64-cell tile
+// runs, so a unit hop costs one increment and one peak compare per table,
+// with one tile hash lookup per 64 hops; distinct-link counts are kept as
+// 0->1 counters. Exports visit tiles in sorted order, so no exported byte
+// depends on hash-table internals.
+//
 // Exporters: an ASCII link heatmap and summary report, a Chrome
 // trace_event counter track (standalone here; merged into the phase trace
 // when embedded in the Profiler), and the "congestion" section of the
@@ -43,8 +51,10 @@
 
 #include "spatial/geometry.hpp"
 #include "spatial/phase.hpp"
+#include "spatial/tile_grid.hpp"
 #include "spatial/trace.hpp"
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -126,9 +136,7 @@ class CongestionMap final : public TraceSink {
   [[nodiscard]] index_t total_occupancy() const { return total_; }
 
   /// Number of distinct links that carried at least one unit.
-  [[nodiscard]] index_t links() const {
-    return static_cast<index_t>(load_.size());
-  }
+  [[nodiscard]] index_t links() const { return links_; }
 
   /// Occupancy of one directed link (0 when never traversed).
   [[nodiscard]] index_t occupancy(Link link) const;
@@ -198,21 +206,9 @@ class CongestionMap final : public TraceSink {
   void clear();
 
  private:
-  struct LinkKey {
-    index_t row{0};
-    index_t col{0};
-    std::uint8_t dir{0};  ///< 0 up, 1 down, 2 left, 3 right
-
-    friend bool operator==(const LinkKey&, const LinkKey&) = default;
-  };
-  struct LinkKeyHash {
-    std::size_t operator()(const LinkKey& k) const {
-      const auto mix = (static_cast<std::uint64_t>(k.row) << 32) ^
-                       static_cast<std::uint64_t>(k.col & 0xffffffff);
-      return std::hash<std::uint64_t>{}(mix * 4 + k.dir);
-    }
-  };
-  using LinkLoad = std::unordered_map<LinkKey, index_t, LinkKeyHash>;
+  /// Per-cell occupancy of the four directed links leaving the cell,
+  /// indexed by direction code (0 up, 1 down, 2 left, 3 right).
+  using LinkLoad = TileGrid<std::array<index_t, 4>>;
 
   /// The bucket traffic is currently attributed to (innermost phase).
   [[nodiscard]] PhaseId bucket() const {
@@ -222,6 +218,7 @@ class CongestionMap final : public TraceSink {
   /// Per-bucket occupancy map and peak, keyed by innermost PhaseId.
   struct Bucket {
     LinkLoad load;
+    index_t links{0};  ///< distinct links touched (0->1 slots)
     index_t occupancy{0};
     index_t peak{0};
   };
@@ -233,12 +230,14 @@ class CongestionMap final : public TraceSink {
   Bucket& current_bucket();
 
   void route(Coord from, Coord to);
-  void bump(LinkKey key);
   void record_sample();
 
-  static Link link_of(LinkKey key);
+  /// Calls f(Link, occupancy) on every touched link, in LinkLoad order.
+  template <class F>
+  void for_each_link(F&& f) const;
 
   LinkLoad load_;
+  index_t links_{0};  ///< distinct links touched (0->1 slots)
   index_t total_{0};
   index_t messages_{0};
   index_t max_link_load_{0};

@@ -147,73 +147,73 @@ void IndependenceChecker::on_send(const MessageEvent& e) {
   ring_push(e);
 }
 
+PhaseFootprint& IndependenceChecker::footprint() {
+  if (footprint_ == nullptr) footprint_ = &report_.per_phase[current_phase()];
+  return *footprint_;
+}
+
 void IndependenceChecker::on_send_bulk(
     std::span<const MessageEvent> batch) {
-  // One pass over the charged entries builds the per-cell in/out degrees.
-  struct Degrees {
-    index_t in{0};
-    index_t out{0};
-  };
-  std::unordered_map<Coord, Degrees, CoordHash> deg;
-  deg.reserve(batch.size() * 2);
+  // One pass over the charged entries tallies per-cell in/out degrees
+  // into the (all-zero between batches) degree table, listing each cell
+  // on its first touch.
+  cells_.clear();
   index_t charged = 0;
   for (const MessageEvent& e : batch) {
     if (e.distance == 0) continue;  // free in the model, never delivered
     ++charged;
-    ++deg[e.to].in;
-    ++deg[e.from].out;
+    Degrees& to = degrees_.at(e.to);
+    if (to.in++ == 0 && to.out == 0) cells_.push_back(e.to);
+    Degrees& from = degrees_.at(e.from);
+    if (from.out++ == 0 && from.in == 0) cells_.push_back(e.from);
     ring_push(e);
   }
   if (charged == 0) return;
 
   const bool exempt = ScopedUnorderedDelivery::active();
-  {
-    PhaseFootprint& fp = report_.per_phase[current_phase()];
-    ++fp.batches;
-    fp.bulk_messages += charged;
-    fp.max_batch = std::max(fp.max_batch, charged);
-    if (exempt) ++fp.exempted_batches;
-    ++report_.batches;
-    report_.bulk_messages += charged;
-    if (exempt) ++report_.exempted_batches;
-  }
+  PhaseFootprint& fp = footprint();
+  ++fp.batches;
+  fp.bulk_messages += charged;
+  fp.max_batch = std::max(fp.max_batch, charged);
+  if (exempt) ++fp.exempted_batches;
+  ++report_.batches;
+  report_.bulk_messages += charged;
+  if (exempt) ++report_.exempted_batches;
 
-  // Deterministic reports: visit conflicted cells in coordinate order
-  // (the degree map's iteration order is not stable across platforms).
-  std::vector<std::pair<Coord, Degrees>> cells(deg.begin(), deg.end());
-  std::sort(cells.begin(), cells.end(),
-            [](const auto& a, const auto& b) {
-              return a.first.row != b.first.row
-                         ? a.first.row < b.first.row
-                         : a.first.col < b.first.col;
-            });
-  for (const auto& [c, d] : cells) {
-    report_.max_fan_in = std::max(report_.max_fan_in, d.in);
-    PhaseFootprint& fp = report_.per_phase[current_phase()];
-    fp.max_fan_in = std::max(fp.max_fan_in, d.in);
-    if (d.in >= 2 && !exempt) {
+  // Deterministic reports: visit conflicted cells in coordinate order.
+  std::sort(cells_.begin(), cells_.end(), [](Coord a, Coord b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  });
+  for (const Coord c : cells_) {
+    Degrees& slot = degrees_.at(c);
+    const index_t in = slot.in;
+    const index_t out = slot.out;
+    slot = Degrees{};  // leave the table all-zero for the next batch
+    report_.max_fan_in = std::max(report_.max_fan_in, in);
+    fp.max_fan_in = std::max(fp.max_fan_in, in);
+    if (in >= 2 && !exempt) {
       std::ostringstream os;
-      os << d.in << " of " << charged
+      os << in << " of " << charged
          << " batch members deliver to the same destination; delivery "
             "order within a batch is unspecified. Declare the fan-in "
             "order-free with ScopedUnorderedDelivery / "
             "CommutativeDeliveryScope, or split the round";
       record(IndependenceViolationKind::kWriteWriteConflict, c, os.str());
     }
-    if (d.in >= 1 && d.out >= 1) {
+    if (in >= 1 && out >= 1) {
       if (dead_.contains(c)) {
         std::ostringstream os;
         os << "a batch member sends from a cell another member writes, "
               "and the cell held no value at batch start (retired earlier "
               "this epoch): the read can only observe the in-batch "
               "arrival, so the round depends on intra-batch order (in-"
-           << d.in << "/out-" << d.out << ")";
+           << in << "/out-" << out << ")";
         record(IndependenceViolationKind::kReadWriteHazard, c, os.str());
       }
-      if (d.in >= 2 || d.out >= 2) {
+      if (in >= 2 || out >= 2) {
         std::ostringstream os;
         os << "cell relays concentrated traffic within one batch (in-"
-           << d.in << "/out-" << d.out
+           << in << "/out-" << out
            << "): gather and scatter fused into one round. Split into "
               "dependent batches";
         record(IndependenceViolationKind::kGatherScatterAliasing, c,
@@ -224,6 +224,7 @@ void IndependenceChecker::on_send_bulk(
 
   // Occupancy update happens after analysis: the hazard rule reasons
   // about the state at batch start.
+  if (dead_.empty()) return;
   for (const MessageEvent& e : batch) {
     if (e.distance == 0) continue;
     dead_.erase(e.to);
@@ -239,15 +240,20 @@ void IndependenceChecker::on_death(Coord at) { dead_.insert(at); }
 
 void IndependenceChecker::on_phase_enter(PhaseId id) {
   phase_stack_.push_back(id);
+  footprint_ = nullptr;
   new_epoch();
 }
 
 void IndependenceChecker::on_phase_exit(PhaseId id) {
   (void)id;  // phase balance is the conformance checker's to report
   if (!phase_stack_.empty()) phase_stack_.pop_back();
+  footprint_ = nullptr;
   new_epoch();
 }
 
-void IndependenceChecker::on_reset() { new_epoch(); }
+void IndependenceChecker::on_reset() {
+  footprint_ = nullptr;
+  new_epoch();
+}
 
 }  // namespace scm

@@ -65,12 +65,12 @@
 
 #include "spatial/clock.hpp"
 #include "spatial/geometry.hpp"
+#include "spatial/tile_grid.hpp"
 #include "spatial/trace.hpp"
 
 #include <cstddef>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -164,6 +164,9 @@ class IndependenceChecker final : public TraceSink {
 
   IndependenceChecker() : IndependenceChecker(Config{}) {}
   explicit IndependenceChecker(Config config);
+  // Not copyable: the cached footprint points into this checker's report.
+  IndependenceChecker(const IndependenceChecker&) = delete;
+  IndependenceChecker& operator=(const IndependenceChecker&) = delete;
 
   // TraceSink events.
   void on_message(Coord from, Coord to, index_t distance) override;
@@ -191,6 +194,16 @@ class IndependenceChecker final : public TraceSink {
     }
   };
 
+  /// Per-cell in/out degree within one batch.
+  struct Degrees {
+    index_t in{0};
+    index_t out{0};
+  };
+
+  /// The innermost phase's footprint, resolved once and cached until the
+  /// next phase transition or reset (std::map nodes are pointer-stable).
+  PhaseFootprint& footprint();
+
   void record(IndependenceViolationKind kind, Coord at, std::string detail);
   void ring_push(const MessageEvent& e);
   void new_epoch();
@@ -205,6 +218,9 @@ class IndependenceChecker final : public TraceSink {
   std::unordered_set<Coord, CoordHash> dead_;
   std::vector<MessageEvent> ring_;
   std::size_t ring_next_{0};
+  TileGrid<Degrees> degrees_;  ///< all-zero between batches
+  std::vector<Coord> cells_;   ///< cells the current batch touched
+  PhaseFootprint* footprint_{nullptr};  ///< see footprint()
 };
 
 }  // namespace scm

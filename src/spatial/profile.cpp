@@ -215,10 +215,14 @@ void Profiler::on_death_bulk(std::span<const Coord> batch) {
 }
 
 void Profiler::record_witness(const WitnessEvent& e) {
+  // reconstruct_chain reads only first achievers, so an event is stored
+  // only when it is the first to reach its depth or its distance value.
   const auto idx = static_cast<std::uint32_t>(events_.size());
-  events_.push_back(e);
-  first_depth_.try_emplace(e.arrival.depth, idx);
-  first_distance_.try_emplace(e.arrival.distance, idx);
+  const bool first_depth =
+      first_depth_.try_emplace(e.arrival.depth, idx).second;
+  const bool first_distance =
+      first_distance_.try_emplace(e.arrival.distance, idx).second;
+  if (first_depth || first_distance) events_.push_back(e);
 }
 
 void Profiler::on_phase_enter(PhaseId id) {

@@ -95,8 +95,9 @@ class Profiler final : public TraceSink {
   struct Options {
     /// Record per-value witness events so critical_path() can reconstruct
     /// the exact chains realizing depth and distance. Costs O(1) hash
-    /// work and ~80 bytes per message/birth; off by default so the plain
-    /// tree profiler stays cheap.
+    /// work per message/birth and ~80 bytes per event that first reaches
+    /// a depth or distance value (O(depth + distance) events, not one per
+    /// message); off by default so the plain tree profiler stays cheap.
     bool witness{false};
 
     /// Maintain an internal LoadMap (dimension-ordered routing) so the
@@ -115,8 +116,9 @@ class Profiler final : public TraceSink {
     /// land in the report, never abort) and export its conflict counts
     /// and per-phase batch footprints as the run report's "independence"
     /// section, so CI can assert zero conflicts from artifacts. Costs one
-    /// O(batch) degree-map pass per bulk event; on by default because
-    /// every standard --profile artifact should carry the verdict.
+    /// degree-tally pass plus a sort of the touched cells per bulk event;
+    /// on by default because every standard --profile artifact should
+    /// carry the verdict.
     bool independence{true};
   };
 
@@ -288,8 +290,9 @@ class Profiler final : public TraceSink {
   std::vector<ScopeEvent> scopes_;
   std::uint64_t ticks_{0};
 
-  // Witness record: the event stream plus, per clock-component value, the
-  // index of the first event achieving it.
+  // Witness record: per clock-component value, the index into events_ of
+  // the first event achieving it. events_ holds only those first
+  // achievers.
   std::vector<WitnessEvent> events_;
   std::unordered_map<index_t, std::uint32_t> first_depth_;
   std::unordered_map<index_t, std::uint32_t> first_distance_;

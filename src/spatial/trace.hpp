@@ -10,17 +10,20 @@
 // through every processor, giving per-PE congestion maps, hotspot lists,
 // and an ASCII heatmap — the tooling behind the example_traffic_heatmap
 // demo comparing the Z-order scan's balanced load against the 1-D tree
-// scan's hotspots.
+// scan's hotspots. Per-processor counts live in a TileGrid
+// (spatial/tile_grid.hpp): a unit hop is one array increment, with one
+// tile hash lookup per 64 hops of a route leg.
 #pragma once
 
 #include "spatial/clock.hpp"
 #include "spatial/geometry.hpp"
 #include "spatial/phase.hpp"
+#include "spatial/tile_grid.hpp"
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace scm {
@@ -152,6 +155,20 @@ class FanoutSink final : public TraceSink {
   std::vector<TraceSink*> sinks_;
 };
 
+namespace detail {
+
+/// Renders per-cell values as the ASCII heatmap LoadMap and CongestionMap
+/// share: the bounding box of `cells` (each a touched cell with a positive
+/// value, in any order) downsampled to at most `max_side` characters per
+/// side, each character the bucket's maximum on the level ramp
+/// " .:-=+*#%@" scaled to the peak. The header reads
+/// "<title> (RxC cells<note>, bucket BxB, peak P)".
+[[nodiscard]] std::string ascii_heatmap(
+    const std::vector<std::pair<Coord, index_t>>& cells, index_t max_side,
+    const char* title, const char* note);
+
+}  // namespace detail
+
 /// Accumulates per-processor traffic by routing every message along the
 /// dimension-ordered Manhattan path (rows first, then columns), counting
 /// one unit of load at every processor the message transits (endpoints
@@ -199,24 +216,14 @@ class LoadMap final : public TraceSink {
   void clear();
 
  private:
-  struct CoordHash {
-    std::size_t operator()(const std::pair<index_t, index_t>& p) const {
-      return std::hash<std::uint64_t>{}(
-          (static_cast<std::uint64_t>(p.first) << 32) ^
-          static_cast<std::uint64_t>(p.second & 0xffffffff));
-    }
-  };
+  /// Every touched processor with its load, in TileGrid::for_each order.
+  [[nodiscard]] std::vector<std::pair<Coord, index_t>> touched() const;
 
-  void bump(Coord c);
-
-  std::unordered_map<std::pair<index_t, index_t>, index_t, CoordHash> load_;
+  TileGrid<index_t> load_;
+  index_t cells_{0};  ///< distinct processors touched (0->1 cells)
   index_t total_{0};
   index_t messages_{0};
   index_t max_load_{0};
-  index_t min_row_{0};
-  index_t max_row_{-1};
-  index_t min_col_{0};
-  index_t max_col_{-1};
 };
 
 }  // namespace scm

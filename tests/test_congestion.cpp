@@ -30,7 +30,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
+#include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -484,6 +488,198 @@ TEST(CongestionExport, DisabledSinkReportsEnabledFalse) {
   const util::json::Value* cong = doc->find("congestion");
   ASSERT_NE(cong, nullptr);
   EXPECT_FALSE(cong->find("enabled")->boolean);
+}
+
+// ---- Reference model: a plain std::map over random traffic ------------------
+
+/// The congestion sink re-derived hop by hop into ordered maps: the
+/// specification the tiled tables must reproduce exactly.
+struct RefCongestion {
+  std::map<Link, index_t> load;
+  std::map<PhaseId, std::map<Link, index_t>> buckets;
+  std::map<PhaseId, index_t> occupancy;
+  std::vector<PhaseId> order;  // first-touch order of buckets
+  std::vector<PhaseId> stack;
+  index_t messages{0};
+
+  void route(Coord from, Coord to) {
+    ++messages;
+    Coord cur = from;
+    while (cur.row != to.row) {
+      Coord next = cur;
+      next.row += to.row > cur.row ? 1 : -1;
+      hop(Link{cur, next});
+      cur = next;
+    }
+    while (cur.col != to.col) {
+      Coord next = cur;
+      next.col += to.col > cur.col ? 1 : -1;
+      hop(Link{cur, next});
+      cur = next;
+    }
+  }
+
+  void hop(Link link) {
+    ++load[link];
+    const PhaseId b = stack.empty() ? kNoPhase : stack.back();
+    if (!buckets.contains(b)) order.push_back(b);
+    ++buckets[b][link];
+    ++occupancy[b];
+  }
+};
+
+index_t ref_peak(const std::map<Link, index_t>& table) {
+  index_t peak = 0;
+  for (const auto& [link, count] : table) peak = std::max(peak, count);
+  return peak;
+}
+
+void expect_matches_reference(const CongestionMap& cm,
+                              const RefCongestion& ref) {
+  const std::vector<std::pair<Link, index_t>> want(ref.load.begin(),
+                                                   ref.load.end());
+  EXPECT_EQ(cm.sorted_links(), want);
+  EXPECT_EQ(cm.links(), static_cast<index_t>(want.size()));
+  EXPECT_EQ(cm.messages(), ref.messages);
+  index_t total = 0;
+  for (const auto& [link, count] : want) {
+    total += count;
+    if (cm.occupancy(link) != count) {
+      ADD_FAILURE() << link.str() << ": " << cm.occupancy(link)
+                    << " != " << count;
+      break;
+    }
+  }
+  EXPECT_EQ(cm.total_occupancy(), total);
+  EXPECT_EQ(cm.max_link_load(), ref_peak(ref.load));
+
+  std::vector<index_t> values;
+  for (const auto& [link, count] : want) values.push_back(count);
+  std::sort(values.begin(), values.end());
+  EXPECT_EQ(cm.occupancy_multiset(), values);
+  for (const double p : {0.0, 10.0, 50.0, 90.0, 95.0, 99.0, 100.0}) {
+    const auto rank = std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               std::ceil(p / 100.0 * static_cast<double>(values.size()))));
+    EXPECT_EQ(cm.percentile(p), values.empty() ? 0 : values[rank - 1])
+        << "p" << p;
+  }
+
+  std::vector<std::pair<Link, index_t>> hot = want;
+  std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
+  });
+  hot.resize(std::min<std::size_t>(hot.size(), 7));
+  EXPECT_EQ(cm.hotspot_links(7), hot);
+
+  const auto phases = cm.phase_congestion();
+  ASSERT_EQ(phases.size(), ref.order.size());
+  index_t clock = 0;
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const PhaseId id = ref.order[i];
+    const auto& table = ref.buckets.at(id);
+    EXPECT_EQ(phases[i].phase, id);
+    EXPECT_EQ(phases[i].links, static_cast<index_t>(table.size()));
+    EXPECT_EQ(phases[i].peak, ref_peak(table));
+    EXPECT_EQ(phases[i].occupancy, ref.occupancy.at(id));
+    EXPECT_EQ(cm.phase_peak(id), ref_peak(table));
+    clock += ref_peak(table);
+  }
+  EXPECT_EQ(cm.congested_clock(), clock);
+}
+
+/// Drives `cm` and `ref` with the same seeded stream of scalar messages,
+/// bulk batches (with zero-length members) and phase transitions, over
+/// rows and columns in [-130, 130] so routes cross positive and negative
+/// multiples of the 64-cell tile side.
+void drive_random(std::uint64_t seed, int events, CongestionMap& cm,
+                  RefCongestion& ref) {
+  std::mt19937_64 rng = make_rng(seed);
+  std::uniform_int_distribution<index_t> coord(-130, 130);
+  std::uniform_int_distribution<int> pick(0, 9);
+  const PhaseId names[] = {PhaseRegistry::instance().intern("ref_cong_a"),
+                           PhaseRegistry::instance().intern("ref_cong_b"),
+                           PhaseRegistry::instance().intern("ref_cong_c")};
+  const auto random_coord = [&] { return Coord{coord(rng), coord(rng)}; };
+  for (int i = 0; i < events; ++i) {
+    const int kind = pick(rng);
+    if (kind == 0) {
+      const PhaseId id = names[pick(rng) % 3];
+      cm.on_phase_enter(id);
+      ref.stack.push_back(id);
+    } else if (kind == 1 && !ref.stack.empty()) {
+      cm.on_phase_exit(ref.stack.back());
+      ref.stack.pop_back();
+    } else if (kind < 6) {
+      const Coord from = random_coord();
+      const Coord to = random_coord();
+      if (from == to) continue;
+      cm.on_message(from, to, manhattan(from, to));
+      ref.route(from, to);
+    } else {
+      std::vector<MessageEvent> batch;
+      const int size = 1 + pick(rng) % 6;
+      for (int j = 0; j < size; ++j) {
+        MessageEvent e;
+        e.from = random_coord();
+        e.to = pick(rng) == 0 ? e.from : random_coord();
+        e.distance = manhattan(e.from, e.to);
+        batch.push_back(e);
+        if (e.distance != 0) ref.route(e.from, e.to);
+      }
+      cm.on_send_bulk(batch);
+    }
+  }
+}
+
+TEST(CongestionReference, RandomTrafficAcrossNegativeTilesMatchesMapModel) {
+  CongestionMap cm;
+  RefCongestion ref;
+  drive_random(41, 600, cm, ref);
+  expect_matches_reference(cm, ref);
+}
+
+TEST(CongestionReference, ClearAndResetThenReuseMatchFreshModel) {
+  // Each pass ends and the next begins with the same single-tile
+  // message, so a cached tile surviving clear()/on_reset() would swallow
+  // the first hops of the reuse.
+  const auto closing = [](CongestionMap& cm) {
+    cm.on_message({5, 5}, {5, 9}, 4);
+  };
+  CongestionMap cm;
+  for (int pass = 0; pass < 3; ++pass) {
+    RefCongestion ref;
+    closing(cm);
+    ref.route({5, 5}, {5, 9});
+    drive_random(100 + static_cast<std::uint64_t>(pass), 200, cm, ref);
+    closing(cm);
+    ref.route({5, 5}, {5, 9});
+    expect_matches_reference(cm, ref);
+    // Close the scopes the stream left open so every pass starts at top.
+    while (!ref.stack.empty()) {
+      cm.on_phase_exit(ref.stack.back());
+      ref.stack.pop_back();
+    }
+    if (pass % 2 == 0) {
+      cm.clear();
+    } else {
+      cm.on_reset();
+    }
+    expect_matches_reference(cm, RefCongestion{});
+  }
+}
+
+TEST(CongestionReference, UntouchedTilesAndNonUnitLinksReadZero) {
+  CongestionMap cm;
+  cm.on_message({-70, 3}, {-70, 9}, 6);
+  EXPECT_EQ(cm.occupancy(Link{{-70, 3}, {-70, 4}}), 1);
+  // Same tile, untouched link; never-touched tiles, far and negative.
+  EXPECT_EQ(cm.occupancy(Link{{-70, 4}, {-70, 3}}), 0);
+  EXPECT_EQ(cm.occupancy(Link{{1000, 1000}, {1000, 1001}}), 0);
+  EXPECT_EQ(cm.occupancy(Link{{-1000, -5000}, {-1001, -5000}}), 0);
+  // Not a unit link.
+  EXPECT_EQ(cm.occupancy(Link{{-70, 3}, {-70, 5}}), 0);
+  EXPECT_EQ(CongestionMap{}.occupancy(Link{{0, 0}, {0, 1}}), 0);
 }
 
 }  // namespace

@@ -13,14 +13,21 @@
 #include "spatial/grid_array.hpp"
 #include "spatial/machine.hpp"
 #include "spatial/profile.hpp"
+#include "spatial/rng.hpp"
 #include "spatial/validate.hpp"
 #include "testing/runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <map>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace scm {
@@ -457,6 +464,183 @@ TEST(IndependenceFuzz, NoInjectionMeansNoFindings) {
   std::ostringstream log;
   testing::FuzzRunner runner(config, testing::BoundSet{});
   EXPECT_TRUE(runner.run(log).ok()) << log.str();
+}
+
+// ---- Reference model of the batch tally -------------------------------------
+
+/// The batch rules re-derived with an ordered per-cell degree map: the
+/// specification the tiled degree tally must reproduce finding for
+/// finding, in order.
+struct RefIndependence {
+  struct Finding {
+    IndependenceViolationKind kind;
+    std::string phase;
+    Coord at;
+  };
+  std::vector<Finding> findings;
+  std::map<std::string, PhaseFootprint> per_phase;
+  index_t batches{0};
+  index_t bulk_messages{0};
+  index_t exempted_batches{0};
+  index_t max_fan_in{0};
+  std::vector<PhaseId> stack;
+  std::set<std::pair<index_t, index_t>> dead;
+
+  [[nodiscard]] std::string phase() const {
+    return stack.empty() ? std::string("<top>")
+                         : PhaseRegistry::instance().name(stack.back());
+  }
+
+  void batch(const std::vector<MessageEvent>& members, bool exempt) {
+    std::map<std::pair<index_t, index_t>, std::pair<index_t, index_t>> deg;
+    index_t charged = 0;
+    for (const MessageEvent& e : members) {
+      if (e.distance == 0) continue;
+      ++charged;
+      ++deg[{e.to.row, e.to.col}].first;
+      ++deg[{e.from.row, e.from.col}].second;
+    }
+    if (charged == 0) return;
+    PhaseFootprint& fp = per_phase[phase()];
+    ++fp.batches;
+    fp.bulk_messages += charged;
+    fp.max_batch = std::max(fp.max_batch, charged);
+    if (exempt) ++fp.exempted_batches;
+    ++batches;
+    bulk_messages += charged;
+    if (exempt) ++exempted_batches;
+    for (const auto& [cell, d] : deg) {
+      const auto [in, out] = d;
+      const Coord at{cell.first, cell.second};
+      max_fan_in = std::max(max_fan_in, in);
+      fp.max_fan_in = std::max(fp.max_fan_in, in);
+      const auto flag = [&](IndependenceViolationKind kind) {
+        findings.push_back({kind, phase(), at});
+        ++fp.conflicts;
+      };
+      if (in >= 2 && !exempt) {
+        flag(IndependenceViolationKind::kWriteWriteConflict);
+      }
+      if (in >= 1 && out >= 1) {
+        if (dead.contains(cell)) {
+          flag(IndependenceViolationKind::kReadWriteHazard);
+        }
+        if (in >= 2 || out >= 2) {
+          flag(IndependenceViolationKind::kGatherScatterAliasing);
+        }
+      }
+    }
+    for (const MessageEvent& e : members) {
+      if (e.distance != 0) dead.erase({e.to.row, e.to.col});
+    }
+  }
+};
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char ch : s) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(IndependenceReference, RepeatedEndpointsAcrossPhasesAndResetMatchModel) {
+  // Batches over a 5x5 pool of cells straddling negative tile
+  // boundaries, so endpoints repeat across members; deaths arm the
+  // read-write rule; phases alternate (and nest) between two names with a
+  // reset mid-stream; a quarter of the batches run exempt.
+  IndependenceChecker checker(lenient());
+  RefIndependence ref;
+  std::mt19937_64 rng = make_rng(2027);
+  std::uniform_int_distribution<index_t> coord(-2, 2);
+  std::uniform_int_distribution<int> pick(0, 11);
+  const PhaseId names[] = {PhaseRegistry::instance().intern("indep_ref_a"),
+                           PhaseRegistry::instance().intern("indep_ref_b")};
+  const auto cell = [&] { return Coord{-64 + coord(rng), 63 + coord(rng)}; };
+  const auto new_epoch = [&] { ref.dead.clear(); };
+  int flips = 0;
+  for (int i = 0; i < 400; ++i) {
+    const int kind = pick(rng);
+    if (kind == 0) {
+      const PhaseId id = names[flips++ % 2];
+      checker.on_phase_enter(id);
+      ref.stack.push_back(id);
+      new_epoch();
+    } else if (kind == 1 && !ref.stack.empty()) {
+      checker.on_phase_exit(ref.stack.back());
+      ref.stack.pop_back();
+      new_epoch();
+    } else if (kind == 2) {
+      const Coord at = cell();
+      checker.on_death(at);
+      ref.dead.insert({at.row, at.col});
+    } else if (kind == 3) {
+      MessageEvent e{cell(), cell(), 0, Clock{}, Clock{}};
+      e.distance = manhattan(e.from, e.to);
+      if (e.distance == 0) continue;
+      checker.on_message(e.from, e.to, e.distance);
+      checker.on_send(e);
+      ref.dead.erase({e.to.row, e.to.col});
+    } else {
+      std::vector<MessageEvent> batch;
+      const int size = 1 + pick(rng) % 6;
+      for (int j = 0; j < size; ++j) {
+        MessageEvent e{cell(), cell(), 0, Clock{j, j}, Clock{j, j}};
+        e.distance = manhattan(e.from, e.to);
+        batch.push_back(e);
+      }
+      if (kind == 4) {
+        ScopedUnorderedDelivery exempt("reference-model exemption");
+        checker.on_send_bulk(batch);
+        ref.batch(batch, true);
+      } else {
+        checker.on_send_bulk(batch);
+        ref.batch(batch, false);
+      }
+    }
+    if (i == 200) {
+      checker.on_reset();
+      new_epoch();
+    }
+  }
+
+  const IndependenceReport& rep = checker.report();
+  ASSERT_EQ(rep.violations.size(), ref.findings.size());
+  for (std::size_t i = 0; i < ref.findings.size(); ++i) {
+    EXPECT_EQ(rep.violations[i].kind, ref.findings[i].kind) << i;
+    EXPECT_EQ(rep.violations[i].phase, ref.findings[i].phase) << i;
+    EXPECT_EQ(rep.violations[i].at, ref.findings[i].at) << i;
+  }
+  for (const auto kind : {IndependenceViolationKind::kWriteWriteConflict,
+                          IndependenceViolationKind::kReadWriteHazard,
+                          IndependenceViolationKind::kGatherScatterAliasing}) {
+    EXPECT_GT(rep.count(kind), 0) << to_string(kind);
+  }
+  EXPECT_EQ(rep.batches, ref.batches);
+  EXPECT_EQ(rep.bulk_messages, ref.bulk_messages);
+  EXPECT_EQ(rep.exempted_batches, ref.exempted_batches);
+  EXPECT_EQ(rep.max_fan_in, ref.max_fan_in);
+  ASSERT_EQ(rep.per_phase.size(), ref.per_phase.size());
+  std::ostringstream footprints;
+  for (const auto& [name, want] : ref.per_phase) {
+    ASSERT_TRUE(rep.per_phase.contains(name)) << name;
+    const PhaseFootprint& got = rep.per_phase.at(name);
+    EXPECT_EQ(got.batches, want.batches) << name;
+    EXPECT_EQ(got.bulk_messages, want.bulk_messages) << name;
+    EXPECT_EQ(got.max_batch, want.max_batch) << name;
+    EXPECT_EQ(got.max_fan_in, want.max_fan_in) << name;
+    EXPECT_EQ(got.exempted_batches, want.exempted_batches) << name;
+    EXPECT_EQ(got.conflicts, want.conflicts) << name;
+    footprints << name << ' ' << got.batches << ' ' << got.bulk_messages
+               << ' ' << got.max_batch << ' ' << got.max_fan_in << ' '
+               << got.exempted_batches << ' ' << got.conflicts << '\n';
+  }
+  // Full violation text (details and backtraces) and footprints, pinned
+  // to the output of the per-batch hash-map tally this model specifies.
+  const std::string text = rep.str() + footprints.str();
+  EXPECT_EQ(fnv1a(text), 0x84f0e27d3f3725baULL)
+      << text.size() << " bytes hash to 0x" << std::hex << fnv1a(text);
 }
 
 }  // namespace

@@ -8,8 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <map>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace scm {
@@ -229,6 +234,146 @@ TEST(LoadMap, ZOrderScanHasLowerPeakLoadThanTreeScan) {
   EXPECT_LT(scan_map.max_load(), tree_map.max_load());
   EXPECT_GE(scan_map.imbalance(), 0.0);
   EXPECT_GE(tree_map.imbalance(), 0.0);
+}
+
+// ---- Reference model: a plain std::map over random traffic ------------------
+
+/// Per-processor loads re-derived cell by cell into an ordered map.
+struct RefLoad {
+  std::map<std::pair<index_t, index_t>, index_t> load;
+  index_t messages{0};
+
+  void route(Coord from, Coord to) {
+    ++messages;
+    Coord cur = from;
+    ++load[{cur.row, cur.col}];
+    while (cur.row != to.row) {
+      cur.row += to.row > cur.row ? 1 : -1;
+      ++load[{cur.row, cur.col}];
+    }
+    while (cur.col != to.col) {
+      cur.col += to.col > cur.col ? 1 : -1;
+      ++load[{cur.row, cur.col}];
+    }
+  }
+};
+
+void expect_matches_reference(const LoadMap& lm, const RefLoad& ref) {
+  EXPECT_EQ(lm.messages(), ref.messages);
+  std::vector<std::pair<Coord, index_t>> cells;
+  index_t total = 0;
+  index_t peak = 0;
+  for (const auto& [at, count] : ref.load) {
+    cells.push_back({Coord{at.first, at.second}, count});
+    total += count;
+    peak = std::max(peak, count);
+    if (lm.load_at({at.first, at.second}) != count) {
+      ADD_FAILURE() << Coord{at.first, at.second} << ": "
+                    << lm.load_at({at.first, at.second}) << " != " << count;
+      break;
+    }
+  }
+  EXPECT_EQ(lm.total_load(), total);
+  EXPECT_EQ(lm.max_load(), peak);
+
+  std::vector<index_t> values;
+  for (const auto& [at, count] : cells) values.push_back(count);
+  std::sort(values.begin(), values.end());
+  for (const double p : {0.0, 10.0, 50.0, 90.0, 95.0, 99.0, 100.0}) {
+    const auto rank = std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               std::ceil(p / 100.0 * static_cast<double>(values.size()))));
+    EXPECT_EQ(lm.percentile(p), values.empty() ? 0 : values[rank - 1])
+        << "p" << p;
+  }
+
+  std::vector<std::pair<Coord, index_t>> hot = cells;
+  std::stable_sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
+    return a.second > b.second;  // ties stay in (row, col) map order
+  });
+  hot.resize(std::min<std::size_t>(hot.size(), 9));
+  EXPECT_EQ(lm.hotspots(9), hot);
+
+  double var = 0.0;
+  const double mean =
+      cells.empty() ? 0.0
+                    : static_cast<double>(total) /
+                          static_cast<double>(cells.size());
+  for (const auto& [at, count] : cells) {
+    var += (static_cast<double>(count) - mean) *
+           (static_cast<double>(count) - mean);
+  }
+  const double cv =
+      cells.empty() ? 0.0
+                    : std::sqrt(var / static_cast<double>(cells.size())) /
+                          mean;
+  EXPECT_NEAR(lm.imbalance(), cv, 1e-12 * (1.0 + cv));
+}
+
+/// Scalar messages and bulk batches (with zero-length members) over rows
+/// and columns in [-130, 130], crossing positive and negative multiples
+/// of the 64-cell tile side.
+void drive_random(std::uint64_t seed, int events, LoadMap& lm, RefLoad& ref) {
+  std::mt19937_64 rng = make_rng(seed);
+  std::uniform_int_distribution<index_t> coord(-130, 130);
+  std::uniform_int_distribution<int> pick(0, 9);
+  const auto random_coord = [&] { return Coord{coord(rng), coord(rng)}; };
+  for (int i = 0; i < events; ++i) {
+    if (pick(rng) < 5) {
+      const Coord from = random_coord();
+      const Coord to = random_coord();
+      if (from == to) continue;
+      lm.on_message(from, to, manhattan(from, to));
+      ref.route(from, to);
+    } else {
+      std::vector<MessageEvent> batch;
+      const int size = 1 + pick(rng) % 6;
+      for (int j = 0; j < size; ++j) {
+        MessageEvent e;
+        e.from = random_coord();
+        e.to = pick(rng) == 0 ? e.from : random_coord();
+        e.distance = manhattan(e.from, e.to);
+        batch.push_back(e);
+        if (e.distance != 0) ref.route(e.from, e.to);
+      }
+      lm.on_send_bulk(batch);
+    }
+  }
+}
+
+TEST(LoadMapReference, RandomTrafficAcrossNegativeTilesMatchesMapModel) {
+  LoadMap lm;
+  RefLoad ref;
+  drive_random(43, 600, lm, ref);
+  expect_matches_reference(lm, ref);
+}
+
+TEST(LoadMapReference, ClearThenReuseMatchesFreshModel) {
+  // Each pass ends and the next begins with the same single-tile
+  // message, so a cached tile surviving clear() would swallow
+  // the first hops of the reuse.
+  LoadMap lm;
+  for (int pass = 0; pass < 3; ++pass) {
+    RefLoad ref;
+    lm.on_message({5, 5}, {5, 9}, 4);
+    ref.route({5, 5}, {5, 9});
+    drive_random(200 + static_cast<std::uint64_t>(pass), 200, lm, ref);
+    lm.on_message({5, 5}, {5, 9}, 4);
+    ref.route({5, 5}, {5, 9});
+    expect_matches_reference(lm, ref);
+    lm.clear();
+    expect_matches_reference(lm, RefLoad{});
+  }
+}
+
+TEST(LoadMapReference, UntouchedTilesReadZero) {
+  LoadMap lm;
+  lm.on_message({-70, 3}, {-70, 9}, 6);
+  EXPECT_EQ(lm.load_at({-70, 3}), 1);
+  EXPECT_EQ(lm.load_at({-71, 3}), 0);         // same tile, untouched
+  EXPECT_EQ(lm.load_at({1000, 1000}), 0);     // never-touched tile
+  EXPECT_EQ(lm.load_at({-1000, -5000}), 0);   // never-touched, negative
+  EXPECT_EQ(LoadMap{}.load_at({0, 0}), 0);
 }
 
 }  // namespace
