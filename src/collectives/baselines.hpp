@@ -18,6 +18,7 @@
 #include "collectives/scan.hpp"
 #include "spatial/grid_array.hpp"
 #include "spatial/machine.hpp"
+#include "spatial/phase.hpp"
 
 #include <cassert>
 #include <optional>
@@ -32,7 +33,9 @@ namespace scm {
 template <class T, class Op>
 [[nodiscard]] GridArray<T> sequential_scan(Machine& m, const GridArray<T>& a,
                                            Op op) {
-  Machine::PhaseScope scope(m, "sequential_scan");
+  static const PhaseId kPhase =
+      PhaseRegistry::instance().intern("sequential_scan");
+  Machine::PhaseScope scope(m, kPhase);
   GridArray<T> out(a.region(), a.layout(), a.size());
   std::optional<Cell<T>> running;
   for (index_t i = 0; i < a.size(); ++i) {
@@ -65,7 +68,9 @@ template <class T, class Op>
 [[nodiscard]] GridArray<T> tree_scan_1d(Machine& m, const GridArray<T>& a,
                                         Op op) {
   assert(is_pow2(a.size()));
-  Machine::PhaseScope scope(m, "tree_scan_1d");
+  static const PhaseId kPhase =
+      PhaseRegistry::instance().intern("tree_scan_1d");
+  Machine::PhaseScope scope(m, kPhase);
   GridArray<T> out(a.region(), a.layout(), a.size());
   detail::ScanExec<T, Op, /*kLog2Arity=*/1> exec(m, a, out, op);
   exec.run();
@@ -78,7 +83,9 @@ template <class T, class Op>
 template <class T>
 [[nodiscard]] GridArray<T> binomial_broadcast(Machine& m, const Rect& rect,
                                               const Cell<T>& src) {
-  Machine::PhaseScope scope(m, "binomial_broadcast");
+  static const PhaseId kPhase =
+      PhaseRegistry::instance().intern("binomial_broadcast");
+  Machine::PhaseScope scope(m, kPhase);
   const index_t n = rect.size();
   GridArray<T> out(rect, Layout::kRowMajor, n);
   out[0] = src;
@@ -110,7 +117,9 @@ template <class T, class Op>
 [[nodiscard]] Cell<T> binomial_reduce(Machine& m, const GridArray<T>& a,
                                       Op op) {
   assert(!a.empty());
-  Machine::PhaseScope scope(m, "binomial_reduce");
+  static const PhaseId kPhase =
+      PhaseRegistry::instance().intern("binomial_reduce");
+  Machine::PhaseScope scope(m, kPhase);
   const index_t n = a.size();
   std::vector<Cell<T>> acc(static_cast<size_t>(n));
   for (index_t i = 0; i < n; ++i) acc[static_cast<size_t>(i)] = a[i];

@@ -120,19 +120,29 @@ void broadcast_rect(Machine& m, const Rect& rect, const Cell<T>& val,
 }  // namespace detail
 
 /// Broadcasts `src` (resident at `rect.origin()`) to every processor of
+/// `rect`, handing each processor's arriving cell to `store(coord, cell)`
+/// instead of materialising an array, so callers that keep only part of
+/// the result (a clock per cell, say) pick their own host storage. Same
+/// phase, messages and costs as broadcast().
+template <class T, class Store>
+void broadcast_to(Machine& m, const Rect& rect, const Cell<T>& src,
+                  Store&& store) {
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("broadcast");
+  Machine::PhaseScope scope(m, kPhase);
+  detail::broadcast_rect(m, rect, src, store);
+}
+
+/// Broadcasts `src` (resident at `rect.origin()`) to every processor of
 /// `rect`. Returns a row-major array over the rect holding the value with
 /// each processor's arrival clock. Lemma IV.1: O(hw + h log h) energy,
 /// O(log n) depth, O(w + h) distance.
 template <class T>
 [[nodiscard]] GridArray<T> broadcast(Machine& m, const Rect& rect,
                                      const Cell<T>& src) {
-  static const PhaseId kPhase = PhaseRegistry::instance().intern("broadcast");
-  Machine::PhaseScope scope(m, kPhase);
   GridArray<T> out(rect, Layout::kRowMajor, rect.size());
-  auto store = [&](Coord c, const Cell<T>& v) {
+  broadcast_to(m, rect, src, [&](Coord c, const Cell<T>& v) {
     out[(c.row - rect.row0) * rect.cols + (c.col - rect.col0)] = v;
-  };
-  detail::broadcast_rect(m, rect, src, store);
+  });
   return out;
 }
 

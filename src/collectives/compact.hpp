@@ -10,6 +10,7 @@
 #include "collectives/scan.hpp"
 #include "spatial/grid_array.hpp"
 #include "spatial/machine.hpp"
+#include "spatial/phase.hpp"
 
 #include <cassert>
 #include <vector>
@@ -25,7 +26,9 @@ template <class T>
                                            const std::vector<char>& flags,
                                            index_t count) {
   assert(static_cast<index_t>(flags.size()) == a.size());
-  Machine::PhaseScope scope(m, "compact_flagged");
+  static const PhaseId kPhase =
+      PhaseRegistry::instance().intern("compact_flagged");
+  Machine::PhaseScope scope(m, kPhase);
   GridArray<index_t> indicator(a.region(), Layout::kZOrder, a.size(),
                                a.offset());
   for (index_t i = 0; i < a.size(); ++i) {

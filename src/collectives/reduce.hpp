@@ -151,18 +151,29 @@ std::optional<Cell<T>> reduce_rect(Machine& m, const Rect& rect, Get&& get,
 
 }  // namespace detail
 
+/// Reduces the cells that `get(coord)` yields over `rect` (nullptr for a
+/// processor holding no element, which then only relays) with the
+/// associative, commutative operator `op`, leaving the result at
+/// `rect.origin()`. Lets callers reduce host storage other than a
+/// GridArray; same phase, messages and costs as reduce(). At least one
+/// processor of `rect` must hold an element.
+template <class T, class Op, class Get>
+[[nodiscard]] Cell<T> reduce_from(Machine& m, const Rect& rect, Get&& get,
+                                  Op op) {
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("reduce");
+  Machine::PhaseScope scope(m, kPhase);
+  std::optional<Cell<T>> result = detail::reduce_rect<T>(m, rect, get, op);
+  assert(result.has_value());
+  return *result;
+}
+
 /// Reduces the elements of `a` with the associative, commutative operator
 /// `op`, leaving the result at the top-left processor of the array's
 /// region. Corollary IV.2 costs. The array must be non-empty.
 template <class T, class Op>
 [[nodiscard]] Cell<T> reduce(Machine& m, const GridArray<T>& a, Op op) {
   assert(!a.empty());
-  static const PhaseId kPhase = PhaseRegistry::instance().intern("reduce");
-  Machine::PhaseScope scope(m, kPhase);
-  std::optional<Cell<T>> result =
-      detail::reduce_rect<T>(m, a.region(), detail::ElementAt<T>(a), op);
-  assert(result.has_value());
-  return *result;
+  return reduce_from<T>(m, a.region(), detail::ElementAt<T>(a), op);
 }
 
 /// Reduce followed by a broadcast of the result to every processor of the

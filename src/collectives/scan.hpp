@@ -26,6 +26,7 @@
 #include "collectives/operators.hpp"
 #include "spatial/grid_array.hpp"
 #include "spatial/machine.hpp"
+#include "spatial/phase.hpp"
 #include "spatial/zorder.hpp"
 
 #include <cassert>
@@ -188,7 +189,8 @@ template <class T, class Op>
   while (cap < a.size()) cap <<= 2;
   assert(a.offset() + cap <= a.region().size());
 #endif
-  Machine::PhaseScope scope(m, "scan");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("scan");
+  Machine::PhaseScope scope(m, kPhase);
   GridArray<T> out(a.region(), a.layout(), a.size());
   detail::ScanExec<T, Op> exec(m, a, out, op);
   exec.run();
@@ -202,7 +204,9 @@ template <class T, class Op>
 [[nodiscard]] GridArray<Seg<T>> segmented_scan(Machine& m,
                                                const GridArray<Seg<T>>& a,
                                                Op op) {
-  Machine::PhaseScope scope(m, "segmented_scan");
+  static const PhaseId kPhase =
+      PhaseRegistry::instance().intern("segmented_scan");
+  Machine::PhaseScope scope(m, kPhase);
   return scan(m, a, SegOp<Op>{op});
 }
 
@@ -213,7 +217,9 @@ template <class T, class Op>
 template <class T, class Op>
 [[nodiscard]] GridArray<T> exclusive_scan(Machine& m, const GridArray<T>& a,
                                           Op op, T identity) {
-  Machine::PhaseScope scope(m, "exclusive_scan");
+  static const PhaseId kPhase =
+      PhaseRegistry::instance().intern("exclusive_scan");
+  Machine::PhaseScope scope(m, kPhase);
   GridArray<T> inclusive = scan(m, a, op);
   GridArray<T> out(a.region(), a.layout(), a.size());
   if (a.size() == 0) return out;

@@ -14,6 +14,7 @@
 #include "sort/keyed.hpp"
 #include "spatial/grid_array.hpp"
 #include "spatial/machine.hpp"
+#include "spatial/phase.hpp"
 
 #include <cassert>
 #include <span>
@@ -107,7 +108,9 @@ void compare_exchange_round(Machine& m, GridArray<T>& a,
 template <class T, class Less>
 void bitonic_merge(Machine& m, GridArray<T>& a, Less less) {
   assert(is_pow2(a.size()) || a.size() == 0);
-  Machine::PhaseScope scope(m, "bitonic_merge");
+  static const PhaseId kPhase =
+      PhaseRegistry::instance().intern("bitonic_merge");
+  Machine::PhaseScope scope(m, kPhase);
   const index_t n = a.size();
   std::vector<detail::WirePair> pairs;
   std::vector<MessageEvent> batch;
@@ -116,7 +119,9 @@ void bitonic_merge(Machine& m, GridArray<T>& a, Less less) {
     // value plus at most one arriving partner word (O(1) residency per
     // step, which the per-step scope makes visible to the conformance
     // checker's epoch accounting). The round is charged as one bulk batch.
-    Machine::PhaseScope step(m, "bitonic_merge/step");
+    static const PhaseId kStep =
+        PhaseRegistry::instance().intern("bitonic_merge/step");
+    Machine::PhaseScope step(m, kStep);
     pairs.clear();
     for (index_t i = 0; i < n; ++i) {
       if ((i & j) != 0) continue;
@@ -134,14 +139,18 @@ void bitonic_merge(Machine& m, GridArray<T>& a, Less less) {
 template <class T, class Less>
 void bitonic_sort(Machine& m, GridArray<T>& a, Less less) {
   assert(is_pow2(a.size()) || a.size() == 0);
-  Machine::PhaseScope scope(m, "bitonic_sort");
+  static const PhaseId kPhase =
+      PhaseRegistry::instance().intern("bitonic_sort");
+  Machine::PhaseScope scope(m, kPhase);
   const index_t n = a.size();
   std::vector<detail::WirePair> pairs;
   std::vector<MessageEvent> batch;
   for (index_t k = 2; k <= n; k *= 2) {
     for (index_t j = k / 2; j > 0; j /= 2) {
       // One simultaneous compare-exchange round; see bitonic_merge.
-      Machine::PhaseScope step(m, "bitonic_sort/step");
+      static const PhaseId kStep =
+          PhaseRegistry::instance().intern("bitonic_sort/step");
+      Machine::PhaseScope step(m, kStep);
       pairs.clear();
       for (index_t i = 0; i < n; ++i) {
         const index_t l = i ^ j;

@@ -12,6 +12,7 @@
 #include "sort/mergesort2d.hpp"
 #include "spatial/grid_array.hpp"
 #include "spatial/machine.hpp"
+#include "spatial/phase.hpp"
 
 #include <cassert>
 #include <vector>
@@ -23,7 +24,8 @@ namespace scm {
 /// delivered to a bucket subgrid right of the input's region.
 [[nodiscard]] inline GridArray<index_t> histogram(
     Machine& m, const GridArray<index_t>& keys, index_t buckets) {
-  Machine::PhaseScope scope(m, "histogram");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("histogram");
+  Machine::PhaseScope scope(m, kPhase);
   const index_t n = keys.size();
   const Rect bucket_rect =
       square_at({keys.region().row0,
@@ -87,7 +89,9 @@ namespace scm {
 /// most callers want; the sort result is returned for completeness).
 [[nodiscard]] inline GridArray<index_t> counting_sort(
     Machine& m, const GridArray<index_t>& keys, index_t buckets) {
-  Machine::PhaseScope scope(m, "counting_sort");
+  static const PhaseId kPhase =
+      PhaseRegistry::instance().intern("counting_sort");
+  Machine::PhaseScope scope(m, kPhase);
 #ifndef NDEBUG
   for (index_t i = 0; i < keys.size(); ++i) {
     assert(keys[i].value >= 0 && keys[i].value < buckets);

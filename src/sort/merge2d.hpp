@@ -33,8 +33,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
+#include <initializer_list>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace scm {
@@ -71,17 +72,23 @@ inline Rect bounding_rect(const Rect& region, index_t offset, index_t n) {
 /// Gather-sort-scatter base case: for constant-sized inputs, pull all
 /// elements to the destination corner processor, order them locally, and
 /// scatter them to the destination range. O(1) depth, O(n * diameter)
-/// energy — dominated by the enclosing recursion level.
+/// energy — dominated by the enclosing recursion level. Runs ~10^6 times
+/// per mergesort at n = 2^18, so its host side stays off the heap where
+/// it can: the inputs come as an initializer list, coordinates are
+/// computed per element rather than cached, and the local sort is an
+/// in-place std::sort.
 template <class T, class Less>
-GridArray<T> merge_base(Machine& m, const std::vector<const GridArray<T>*>& in,
+GridArray<T> merge_base(Machine& m,
+                        std::initializer_list<const GridArray<T>*> in,
                         const Rect& region, index_t dst_offset, Less less) {
   index_t n = 0;
   for (const auto* arr : in) n += arr->size();
   GridArray<T> out(region, Layout::kZOrder, n, dst_offset);
   if (n == 0) return out;
-  // The gather deliberately parks up to base_size (a compile-time O(1)
-  // constant) words on the corner processor; its own phase scope declares
-  // that residency window to the conformance checker.
+  // The gather deliberately parks up to base_size (the runtime
+  // MergeConfig knob, O(1) for the model) words on the corner processor;
+  // its own phase scope declares that residency window to the
+  // conformance checker.
   static const PhaseId kPhase =
       PhaseRegistry::instance().intern("merge2d/base");
   Machine::PhaseScope scope(m, kPhase);
@@ -89,52 +96,50 @@ GridArray<T> merge_base(Machine& m, const std::vector<const GridArray<T>*>& in,
 
   struct Gathered {
     T value;
-    Clock clock;
+    index_t k;  // gather position: the tie-break that keeps the sort stable
   };
   std::vector<Gathered> all;
   all.reserve(static_cast<size_t>(n));
   std::vector<MessageEvent> batch;
   batch.reserve(static_cast<size_t>(n));
   for (const auto* arr : in) {
-    const std::span<const Coord> at = arr->coords();
     for (index_t i = 0; i < arr->size(); ++i) {
-      batch.push_back(MessageEvent{at[static_cast<size_t>(i)], work, 0,
-                                   (*arr)[i].clock, Clock{}});
-      all.push_back(Gathered{(*arr)[i].value, Clock{}});
+      all.push_back(Gathered{(*arr)[i].value,
+                             static_cast<index_t>(batch.size())});
+      batch.push_back(
+          MessageEvent{arr->coord(i), work, 0, (*arr)[i].clock, Clock{}});
     }
   }
   {
     // Up to base_size distinct words converge on the corner processor in
-    // one batch. Delivery order is immaterial: the local stable sort
-    // below re-orders the whole gathered set under a strict total order
-    // before anything depends on it, so the fan-in is declared order-free
-    // to the batch-independence checker rather than split into n rounds.
+    // one batch. Delivery order is immaterial: the local sort below
+    // re-orders the whole gathered set under a strict total order before
+    // anything depends on it, so the fan-in is declared order-free to the
+    // batch-independence checker rather than split into n rounds.
     ScopedUnorderedDelivery gather_fan_in(
         "merge2d/base gather: distinct words re-ordered by the local sort "
         "under a strict total order");
     m.send_bulk(batch);
   }
   Clock ready{};
-  for (size_t k = 0; k < batch.size(); ++k) {
-    all[k].clock = batch[k].arrival;
-    ready = Clock::join(ready, batch[k].arrival);
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [&](const Gathered& x, const Gathered& y) {
-                     return less(x.value, y.value);
-                   });
+  for (const MessageEvent& e : batch) ready = Clock::join(ready, e.arrival);
+  // std::sort with the gather position as tie-break yields exactly the
+  // permutation a stable sort would, without its temporary buffer.
+  std::sort(all.begin(), all.end(), [&](const Gathered& x, const Gathered& y) {
+    if (less(x.value, y.value)) return true;
+    if (less(y.value, x.value)) return false;
+    return x.k < y.k;
+  });
   m.op(n);
   // Every output position depends on the full gathered set (the local sort
   // decides all placements), so scattered elements carry the joined clock.
-  const std::span<const Coord> dst = out.coords();
-  batch.assign(static_cast<size_t>(n), MessageEvent{});
   for (index_t i = 0; i < n; ++i) {
-    batch[static_cast<size_t>(i)] = MessageEvent{
-        work, dst[static_cast<size_t>(i)], 0, ready, Clock{}};
+    batch[static_cast<size_t>(i)] =
+        MessageEvent{work, out.coord(i), 0, ready, Clock{}};
   }
   m.send_bulk(batch);
   for (index_t i = 0; i < n; ++i) {
-    out[i] = Cell<T>{all[static_cast<size_t>(i)].value,
+    out[i] = Cell<T>{std::move(all[static_cast<size_t>(i)].value),
                      batch[static_cast<size_t>(i)].arrival};
   }
   return out;
@@ -142,11 +147,12 @@ GridArray<T> merge_base(Machine& m, const std::vector<const GridArray<T>*>& in,
 
 /// Routes `count` elements of `src` starting at `first` into the output
 /// range starting at out position `dst_i`, joining each element's clock
-/// with the broadcast plan's arrival at the element's processor.
+/// with the broadcast plan's arrival at the element's processor (`plan`
+/// holds one clock per processor of `plan_rect`, row-major).
 template <class T>
 void route_split(Machine& m, const GridArray<T>& src, index_t first,
                  index_t count, GridArray<T>& out, index_t dst_i,
-                 const GridArray<char>& plan, const Rect& plan_rect) {
+                 const std::vector<Clock>& plan, const Rect& plan_rect) {
   if (count == 0) return;
   const std::span<const Coord> src_at = src.coords();
   const std::span<const Coord> out_at = out.coords();
@@ -157,7 +163,7 @@ void route_split(Machine& m, const GridArray<T>& src, index_t first,
     if (plan_rect.contains(from)) {
       const index_t pi = (from.row - plan_rect.row0) * plan_rect.cols +
                          (from.col - plan_rect.col0);
-      clock = Clock::join(clock, plan[pi].clock);
+      clock = Clock::join(clock, plan[static_cast<size_t>(pi)]);
     }
     batch[static_cast<size_t>(i)] = MessageEvent{
         from, out_at[static_cast<size_t>(dst_i + i)], 0, clock, Clock{}};
@@ -207,9 +213,7 @@ template <class T, class Less>
   // One-sided or constant-sized merges resolve directly.
   if (a.empty() || b.empty() || n <= config.base_size) {
     if (n <= config.base_size) {
-      return detail::merge_base(
-          m, std::vector<const GridArray<T>*>{&a, &b}, region, dst_offset,
-          less);
+      return detail::merge_base(m, {&a, &b}, region, dst_offset, less);
     }
     // A sorted one-sided input only needs repositioning into the range,
     // charged as one bulk batch over the cached coordinate maps.
@@ -246,13 +250,19 @@ template <class T, class Less>
   assert(s1.b_count <= s2.b_count && s2.b_count <= s3.b_count);
 
   // Step 2: broadcast the routing plan over the working area, then route
-  // every element to its quadrant sub-range.
+  // every element to its quadrant sub-range. Routing only needs the
+  // plan's arrival clock at each processor, so that is all the host keeps.
   const Rect extent = detail::bounding_rect(region, dst_offset, n);
   const Clock plan_ready =
       Clock::join({s1.clock, s2.clock, s3.clock});
   const Clock plan_at_corner = m.send(work, extent.origin(), plan_ready);
-  const GridArray<char> plan =
-      broadcast(m, extent, Cell<char>{0, plan_at_corner});
+  std::vector<Clock> plan(static_cast<size_t>(extent.size()));
+  broadcast_to(m, extent, Cell<char>{0, plan_at_corner},
+               [&](Coord c, const Cell<char>& v) {
+                 const index_t k = (c.row - extent.row0) * extent.cols +
+                                   (c.col - extent.col0);
+                 plan[static_cast<size_t>(k)] = v.clock;
+               });
 
   const index_t a_cuts[5] = {0, s1.a_count, s2.a_count, s3.a_count, a.size()};
   const index_t b_cuts[5] = {0, s1.b_count, s2.b_count, s3.b_count, b.size()};

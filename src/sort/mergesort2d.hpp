@@ -23,6 +23,7 @@
 #include "sort/merge2d.hpp"
 #include "spatial/grid_array.hpp"
 #include "spatial/machine.hpp"
+#include "spatial/phase.hpp"
 
 #include <cassert>
 #include <functional>
@@ -46,8 +47,7 @@ GridArray<WithId<T>> mergesort_rec(Machine& m,
   if (count <= config.base_size) {
     GridArray<E> slice(region, Layout::kZOrder, count, offset);
     for (index_t i = 0; i < count; ++i) slice[i] = arr[offset + i];
-    return merge_base(m, std::vector<const GridArray<E>*>{&slice}, region,
-                      offset, less);
+    return merge_base(m, {&slice}, region, offset, less);
   }
   const index_t quarter = span / 4;
   GridArray<E> parts[4] = {
@@ -82,7 +82,8 @@ template <class T, class Less = std::less<T>>
 [[nodiscard]] GridArray<T> mergesort2d(Machine& m, const GridArray<T>& input,
                                        Less less = Less{},
                                        const MergeConfig& config = {}) {
-  Machine::PhaseScope scope(m, "mergesort2d");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("mergesort2d");
+  Machine::PhaseScope scope(m, kPhase);
   const index_t n = input.size();
   const Coord origin = input.region().origin();
   if (n <= 1) {

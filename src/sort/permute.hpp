@@ -11,6 +11,7 @@
 
 #include "spatial/grid_array.hpp"
 #include "spatial/machine.hpp"
+#include "spatial/phase.hpp"
 
 #include <cassert>
 #include <numeric>
@@ -25,7 +26,8 @@ template <class T>
 [[nodiscard]] GridArray<T> permute(Machine& m, const GridArray<T>& a,
                                    const std::vector<index_t>& perm) {
   assert(static_cast<index_t>(perm.size()) == a.size());
-  Machine::PhaseScope scope(m, "permute");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("permute");
+  Machine::PhaseScope scope(m, kPhase);
   return route_permutation(m, a, a.region(), a.layout(), perm);
 }
 

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace scm {
 namespace {
@@ -64,6 +66,21 @@ TEST(AllPairs, InputLayoutAndOriginDoNotMatter) {
   std::sort(ref.begin(), ref.end());
   EXPECT_EQ(s.values(), ref);
   EXPECT_EQ(s.region().origin(), (Coord{10, 20}));
+}
+
+TEST(AllPairs, RejectsNonStrictComparatorInEveryBuild) {
+  // Duplicate keys under std::less give two elements rank 0; the check is
+  // not an assert, so a release build rejects it instead of letting both
+  // elements overwrite one output cell.
+  Machine m;
+  auto a = GridArray<double>::from_values_square({0, 0}, {1.0, 1.0, 2.0});
+  try {
+    (void)allpairs_sort(m, a, std::less<double>{});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 0"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(AllPairs, LowDepth) {

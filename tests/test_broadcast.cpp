@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 namespace scm {
 namespace {
@@ -50,6 +51,31 @@ const std::vector<std::tuple<index_t, index_t>> kShapes{
 
 INSTANTIATE_TEST_SUITE_P(Shapes, BroadcastShape,
                          ::testing::ValuesIn(kShapes));
+
+TEST(Broadcast, BroadcastToStoresWhatBroadcastReturns) {
+  // broadcast() is a thin caller of broadcast_to(): a store callback on a
+  // skewed rect at a negative origin sees every processor with the same
+  // arrival clocks, and charges the same costs.
+  const Rect rect{-2, 4, 3, 11};
+  const Cell<int> src{7, Clock{2, 5}};
+  Machine via_array;
+  const GridArray<int> out = broadcast(via_array, rect, src);
+  Machine via_store;
+  std::vector<Clock> clocks(static_cast<size_t>(rect.size()));
+  std::vector<int> stores(static_cast<size_t>(rect.size()), 0);
+  broadcast_to(via_store, rect, src, [&](Coord c, const Cell<int>& v) {
+    const auto k = static_cast<size_t>((c.row - rect.row0) * rect.cols +
+                                       (c.col - rect.col0));
+    EXPECT_EQ(v.value, 7);
+    clocks[k] = v.clock;
+    ++stores[k];
+  });
+  for (index_t i = 0; i < rect.size(); ++i) {
+    EXPECT_GE(stores[static_cast<size_t>(i)], 1) << "cell " << i;
+    EXPECT_EQ(clocks[static_cast<size_t>(i)], out[i].clock) << "cell " << i;
+  }
+  EXPECT_EQ(via_store.metrics(), via_array.metrics());
+}
 
 TEST(Broadcast, ClockStartsFromSourceValue) {
   Machine m;

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 namespace scm {
 namespace {
@@ -43,6 +44,40 @@ TEST(Reduce, UnderfilledArray) {
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
   auto a = GridArray<int>::from_values_square({0, 0}, v);
   EXPECT_EQ(reduce(m, a, Plus{}).value, 55);
+}
+
+TEST(Reduce, ReduceFromMaskedBufferMatchesReduce) {
+  // reduce() is a thin caller of reduce_from(): the same underfilled
+  // Z-order array held as a row-major buffer plus a present-cell mask
+  // reduces to the same cell at the same costs.
+  auto vals = random_ints(5, 37, -50, 50);
+  auto a = GridArray<index_t>::from_values_square({-3, 6}, vals);
+  for (index_t i = 0; i < a.size(); ++i) a[i].clock = Clock{i % 3, i};
+  Machine via_array;
+  const Cell<index_t> want = reduce(via_array, a, Plus{});
+
+  const Rect& r = a.region();
+  std::vector<Cell<index_t>> cells(static_cast<size_t>(r.size()));
+  std::vector<char> present(static_cast<size_t>(r.size()), 0);
+  for (index_t i = 0; i < a.size(); ++i) {
+    const Coord c = a.coord(i);
+    const auto k =
+        static_cast<size_t>((c.row - r.row0) * r.cols + (c.col - r.col0));
+    cells[k] = a[i];
+    present[k] = 1;
+  }
+  Machine via_getter;
+  const Cell<index_t> got = reduce_from<index_t>(
+      via_getter, r,
+      [&](Coord c) -> const Cell<index_t>* {
+        const auto k =
+            static_cast<size_t>((c.row - r.row0) * r.cols + (c.col - r.col0));
+        return present[k] != 0 ? &cells[k] : nullptr;
+      },
+      Plus{});
+  EXPECT_EQ(got.value, want.value);
+  EXPECT_EQ(got.clock, want.clock);
+  EXPECT_EQ(via_getter.metrics(), via_array.metrics());
 }
 
 TEST(Reduce, OffsetSubrange) {
