@@ -303,88 +303,6 @@ void BM_RoutingBulk(benchmark::State& state) {
 }
 BENCHMARK(BM_RoutingBulk);
 
-// ---- Sharded parallel-engine shapes ---------------------------------------
-//
-// One send_bulk of a whole-grid permutation per iteration, charged
-// through the sharded parallel engine (spatial/parallel.*). Arg(1) runs
-// with the engine off — the serial bulk loop — so the BM_ParallelSinglePhase
-// series is the thread-scaling curve of the same work. The batch is built
-// once and reused: send_bulk only rewrites distance/arrival, so every
-// iteration charges identical work. Results and the acceptance bar (>= 3x
-// events/sec at 8 threads on the 512x512 grid, on hosts with >= 8 cores)
-// are recorded under "parallel_engine" in BENCH_simulator.json.
-
-std::vector<MessageEvent> make_grid_batch(index_t rows, index_t cols) {
-  std::vector<MessageEvent> batch;
-  batch.reserve(static_cast<std::size_t>(rows * cols));
-  for (index_t r = 0; r < rows; ++r) {
-    for (index_t c = 0; c < cols; ++c) {
-      // A fixed translation torus permutation: distinct sources, distinct
-      // destinations (the independence discipline), multi-tile distances.
-      batch.push_back(MessageEvent{
-          {r, c}, {(r + 17) % rows, (c + 31) % cols}, 0, Clock{}, Clock{}});
-    }
-  }
-  return batch;
-}
-
-void measure_parallel(benchmark::State& state, const parallel::Config& cfg,
-                      index_t rows, index_t cols) {
-  ScopedBulkCharging bulk(true);
-  parallel::ScopedParallelEngine engine(cfg);
-  std::vector<MessageEvent> batch = make_grid_batch(rows, cols);
-  Machine m;
-  m.begin_phase("leaf");
-  for (auto _ : state) {
-    m.send_bulk(batch);  // bulk-ok: begin_phase("leaf") above holds the phase
-    benchmark::DoNotOptimize(m.metrics().energy);
-  }
-  m.end_phase();
-  const auto n = static_cast<std::int64_t>(batch.size());
-  state.SetItemsProcessed(state.iterations() * n);
-  state.counters["events_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * n),
-      benchmark::Counter::kIsRate);
-}
-
-// Thread-scaling sweep on a 512x512 grid (262,144 messages per round).
-void BM_ParallelSinglePhase(benchmark::State& state) {
-  parallel::Config cfg;
-  cfg.threads = static_cast<int>(state.range(0));  // 1 = engine off
-  cfg.tile_rows = 64;
-  cfg.tile_cols = 64;
-  cfg.min_parallel_batch = 1;
-  measure_parallel(state, cfg, 512, 512);
-}
-// UseRealTime on every parallel shape: the engine spends CPU on worker
-// threads the main-thread CPU clock never sees, so wall clock is the only
-// honest throughput basis (and the one the speedup ratios are quoted on).
-BENCHMARK(BM_ParallelSinglePhase)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-// Tile-size sweep at a fixed worker count on the same 512x512 grid.
-void BM_ParallelTile(benchmark::State& state) {
-  parallel::Config cfg;
-  cfg.threads = 8;
-  cfg.tile_rows = state.range(0);
-  cfg.tile_cols = state.range(0);
-  cfg.min_parallel_batch = 1;
-  measure_parallel(state, cfg, 512, 512);
-}
-BENCHMARK(BM_ParallelTile)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->UseRealTime();
-
-// WSE-2-scale round: 1024x832 = 851,968 processors, one message each —
-// the full-wafer bulk step the events/sec figure in BENCH_simulator.json
-// is quoted on.
-void BM_ParallelWse2(benchmark::State& state) {
-  parallel::Config cfg;
-  cfg.threads = static_cast<int>(state.range(0));
-  cfg.tile_rows = 64;
-  cfg.tile_cols = 64;
-  cfg.min_parallel_batch = 1;
-  measure_parallel(state, cfg, 1024, 832);
-}
-BENCHMARK(BM_ParallelWse2)->Arg(1)->Arg(8)->UseRealTime();
-
 // Phase-transition throughput: scope enter/exit pairs per second. The
 // interned engine moves the dedup work here (per transition), so this
 // guards the other side of the trade.

@@ -9,16 +9,16 @@ namespace scm {
 
 namespace {
 
-/// One traced execution; the caller installs the charging mode (and, for
-/// the parallel leg, the engine) before calling. `congestion` is either a
-/// serial CongestionMap or a ShardedCongestionMap exposing the same
-/// canonical exports through the lambda pair.
-template <typename Congestion>
-AbRun run_traced(const std::function<void(Machine&)>& algorithm,
-                 Congestion& congestion) {
+/// One traced execution under the charging mode `bulk`. The scalar run
+/// feeds the congestion map per-message replays; the bulk run exercises
+/// its batched on_send_bulk. sorted_links() then compares the two
+/// decompositions link by link.
+AbRun run_one(const std::function<void(Machine&)>& algorithm, bool bulk) {
+  ScopedBulkCharging mode(bulk);
   ConformanceChecker::Config config;
   config.strict = false;  // mismatches must surface as AbResult, not abort
   ConformanceChecker checker(config);
+  CongestionMap congestion;
   FanoutSink fanout({&checker, &congestion});
   Machine m;
   m.set_trace(&fanout);
@@ -32,26 +32,6 @@ AbRun run_traced(const std::function<void(Machine&)>& algorithm,
   run.conformance_ok = checker.report().ok();
   if (!run.conformance_ok) run.conformance_report = checker.report().str();
   return run;
-}
-
-AbRun run_one(const std::function<void(Machine&)>& algorithm, bool bulk) {
-  ScopedBulkCharging mode(bulk);
-  // The scalar run feeds the congestion map per-message replays; the bulk
-  // run exercises its batched on_send_bulk. sorted_links() then compares
-  // the two decompositions link by link.
-  CongestionMap congestion;
-  return run_traced(algorithm, congestion);
-}
-
-AbRun run_parallel(const std::function<void(Machine&)>& algorithm,
-                   const parallel::Config& cfg) {
-  ScopedBulkCharging mode(true);
-  parallel::ScopedParallelEngine engine(cfg);
-  // The sharded sink shares the engine's tiling, so this leg proves both
-  // the engine's merged charging and the sharded link decomposition
-  // against the serial runs' numbers.
-  parallel::ShardedCongestionMap congestion(cfg);
-  return run_traced(algorithm, congestion);
 }
 
 void append_metrics(std::ostringstream& os, const Metrics& m) {
@@ -164,37 +144,6 @@ AbResult run_ab(const std::function<void(Machine&)>& algorithm) {
   result.links_equal =
       result.scalar.links == result.bulk.links &&
       result.scalar.congested_clock == result.bulk.congested_clock;
-  return result;
-}
-
-std::string AbcResult::diff() const {
-  if (ok()) return {};
-  std::ostringstream os;
-  const std::string sb = diff_pair(scalar, bulk, "scalar", "bulk");
-  if (!sb.empty()) os << " scalar vs bulk:\n" << sb;
-  const std::string sp = diff_pair(scalar, parallel, "scalar", "parallel");
-  if (!sp.empty()) os << " scalar vs parallel:\n" << sp;
-  append_conformance(os, scalar, "scalar");
-  append_conformance(os, bulk, "bulk");
-  append_conformance(os, parallel, "parallel");
-  return os.str();
-}
-
-AbcResult run_abc(const std::function<void(Machine&)>& algorithm,
-                  const parallel::Config& cfg) {
-  AbcResult result;
-  result.scalar = run_one(algorithm, /*bulk=*/false);
-  result.bulk = run_one(algorithm, /*bulk=*/true);
-  result.parallel = run_parallel(algorithm, cfg);
-  result.totals_equal = result.scalar.totals == result.bulk.totals &&
-                        result.scalar.totals == result.parallel.totals;
-  result.phases_equal = result.scalar.phases == result.bulk.phases &&
-                        result.scalar.phases == result.parallel.phases;
-  result.links_equal =
-      result.scalar.links == result.bulk.links &&
-      result.scalar.links == result.parallel.links &&
-      result.scalar.congested_clock == result.bulk.congested_clock &&
-      result.scalar.congested_clock == result.parallel.congested_clock;
   return result;
 }
 

@@ -16,7 +16,6 @@
 #include "spatial/congestion.hpp"
 #include "spatial/machine.hpp"
 #include "spatial/metrics.hpp"
-#include "spatial/parallel.hpp"
 
 #include <functional>
 #include <map>
@@ -81,53 +80,5 @@ struct AbResult {
 /// receives the Machine to run on and must not depend on charging mode
 /// (except, of course, through the *_bulk calls under test).
 [[nodiscard]] AbResult run_ab(const std::function<void(Machine&)>& algorithm);
-
-/// The default engine shape of the three-way harness: 4 workers, 64x64
-/// tiles, min_parallel_batch 1 so even the smallest test batches exercise
-/// the sharded path instead of silently staying serial.
-[[nodiscard]] inline parallel::Config abc_default_config() {
-  parallel::Config cfg;
-  cfg.threads = 4;
-  cfg.tile_rows = 64;
-  cfg.tile_cols = 64;
-  cfg.min_parallel_batch = 1;
-  return cfg;
-}
-
-/// Three runs — scalar reference, serial bulk, sharded parallel — and
-/// their comparison. `parallel` executes under a ScopedParallelEngine and
-/// records its links through a ShardedCongestionMap with the engine's
-/// tiling, so a mismatch localizes to either the engine's merged charging
-/// or the sharded link decomposition.
-struct AbcResult {
-  AbRun scalar;
-  AbRun bulk;
-  AbRun parallel;
-  bool totals_equal{false};  ///< all three byte-identical
-  bool phases_equal{false};
-  bool links_equal{false};  ///< per-link occupancy + congested clock
-
-  /// True when every exported number matches across all three runs and
-  /// every run was conformance-clean.
-  [[nodiscard]] bool ok() const {
-    return totals_equal && phases_equal && links_equal &&
-           scalar.conformance_ok && bulk.conformance_ok &&
-           parallel.conformance_ok;
-  }
-
-  /// Multi-line description of every mismatch; empty when ok().
-  [[nodiscard]] std::string diff() const;
-};
-
-/// Runs `algorithm` three times on fresh Machines — scalar reference,
-/// serial bulk, and bulk under the sharded parallel engine configured by
-/// `cfg` — and compares Metrics totals, per-phase maps, link occupancies,
-/// and congested clocks for exact (bit-identical) equality. Process-wide
-/// switches (bulk charging, engine configuration) are restored on return.
-/// tests/test_bulk_equivalence.cpp drives every Table-1 algorithm through
-/// this.
-[[nodiscard]] AbcResult run_abc(
-    const std::function<void(Machine&)>& algorithm,
-    const parallel::Config& cfg = abc_default_config());
 
 }  // namespace scm

@@ -13,9 +13,9 @@ namespace scm {
 
 namespace {
 
-// The simulator is single-threaded (the analyzer is the gate *for* the
-// future sharded engine), so a plain process-global suffices. The reason
-// chain restores on scope exit, giving reports the innermost claim.
+// The simulator is single-threaded, so a plain process-global suffices.
+// The reason chain restores on scope exit, giving reports the innermost
+// claim.
 int g_unordered_depth = 0;
 const char* g_unordered_reason = nullptr;
 

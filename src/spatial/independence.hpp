@@ -6,9 +6,7 @@
 // only a legal rewrite of the per-message model when the batch members are
 // *independent*: the model delivers a round's messages concurrently, so
 // nothing inside one batch may depend on the order the engine happens to
-// process entries in. This is exactly the property the planned sharded
-// multi-threaded simulation core relies on to merge tile-local results
-// deterministically; until this module, it was argued per call site in
+// process entries in. Until this module, that was argued per call site in
 // comments. The IndependenceChecker turns the argument into an enforced,
 // testable contract.
 //
@@ -20,10 +18,10 @@
 // route_permutation, and every library round loop charge — and flags:
 //
 //   * write-write conflicts — two or more charged batch members deliver
-//     to the same destination cell. Destination write order within a
-//     batch is unspecified (a parallel engine may apply entries in any
-//     order), so same-destination fan-in is a race unless the algorithm
-//     declares delivery order immaterial (see the exemption below).
+//     to the same destination cell. A round's messages arrive
+//     concurrently, so the model gives no write order within a batch and
+//     same-destination fan-in is a race unless the algorithm declares
+//     delivery order immaterial (see the exemption below).
 //   * read-write hazards — a member sends *from* a cell that another
 //     member writes, when that cell held no value at batch start (it was
 //     retired by Machine::death earlier in the current epoch). The only

@@ -1,6 +1,5 @@
 #include "spatial/machine.hpp"
 
-#include "spatial/parallel.hpp"
 #include "spatial/trace.hpp"
 
 #include <cassert>
@@ -49,26 +48,6 @@ void Machine::send_bulk(std::span<MessageEvent> batch) {
       e.arrival = send(e.from, e.to, e.payload);
     }
     return;
-  }
-  // Sharded fast path: batches at least min_parallel_batch long are
-  // charged tile-parallel (spatial/parallel.hpp). The engine fills
-  // distance/arrival in place, merges per-worker aggregates in fixed
-  // worker order, and we flush through the exact code path the serial
-  // loop uses and emit the same single on_send_bulk — bit-identical by
-  // construction. The engine *declines* (returns false) when its inline
-  // guard finds two entries addressing one destination — an unproven
-  // batch — and the serial loop below charges it instead, leaving the
-  // IndependenceChecker to report the conflict.
-  if (parallel::Engine* const eng = parallel::engine();
-      eng != nullptr &&
-      static_cast<index_t>(batch.size()) >= eng->config().min_parallel_batch) {
-    parallel::BulkAggregate agg;
-    if (eng->charge_send_bulk(batch, agg)) {
-      if (agg.messages == 0) return;
-      accrue(agg.energy, agg.messages, 0, agg.max_clock);
-      emit([&](TraceSink& s) { s.on_send_bulk(batch); });
-      return;
-    }
   }
   // Tight accumulation loop: no phase-set walk, no virtual dispatch.
   index_t energy = 0;
@@ -128,16 +107,9 @@ void Machine::birth_bulk(std::span<const BirthEvent> batch) {
     for (const BirthEvent& b : batch) birth(b.at, b.clock);
     return;
   }
+  // Births have no per-entry charge, only the clock-join reduction.
   Clock max{};
-  // Births have no per-entry charge, only the clock-join reduction, so
-  // the parallel engine's contribution is a block-partitioned max.
-  if (parallel::Engine* const eng = parallel::engine();
-      eng != nullptr &&
-      static_cast<index_t>(batch.size()) >= eng->config().min_parallel_batch) {
-    max = eng->join_birth_clocks(batch);
-  } else {
-    for (const BirthEvent& b : batch) max = Clock::join(max, b.clock);
-  }
+  for (const BirthEvent& b : batch) max = Clock::join(max, b.clock);
   observe(max);
   emit([&](TraceSink& s) { s.on_birth_bulk(batch); });
 }

@@ -1,6 +1,6 @@
 // The fuzz driver binary.
 //
-//   scm_fuzz --seed=2026 --cases=520 --bounds=testing/bounds.json
+//   scm_fuzz --seed=2026 --cases=640 --bounds=testing/bounds.json
 //       the ctest smoke tier: N cases round-robin over the property
 //       registry, functional + cost + conformance oracles per case,
 //       metamorphic and bulk-A/B cadences, exit 1 on any failure.
@@ -8,12 +8,8 @@
 //   scm_fuzz --time-budget=300 ...
 //       the nightly tier: wall-clock budgeted instead of case-counted.
 //
-//   scm_fuzz --replay=<seed>:<case>[:t<threads>x<rows>x<cols>]
-//       deterministically re-runs exactly one failing case from its token;
-//       the optional suffix (emitted when a failure was found under the
-//       sharded parallel engine) replays under that exact engine shape.
-//       --parallel-every=N / --parallel-threads=T / --parallel-tile=WxH
-//       tune the parallel-oracle cadence of the main loop (0 disables).
+//   scm_fuzz --replay=<seed>:<case>
+//       deterministically re-runs exactly one failing case from its token.
 //
 //   scm_fuzz --fit-bounds --bounds=testing/bounds.json --cases=4000
 //            --fit-seeds=1,2,3
@@ -28,7 +24,6 @@
 #include "testing/runner.hpp"
 #include "util/cli.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -65,35 +60,22 @@ int main(int argc, char** argv) {
   }
 
   RunnerConfig config;
-  config.seed = static_cast<std::uint64_t>(
-      cli.get_int("seed", static_cast<std::int64_t>(config.seed)));
-  config.cases = cli.get_int("cases", config.cases);
-  config.time_budget_seconds =
-      cli.get_double("time-budget", config.time_budget_seconds);
-  config.max_n = cli.get_int("max-n", 0);
-  config.metamorphic_every =
-      cli.get_int("metamorphic-every", config.metamorphic_every);
-  config.ab_every = cli.get_int("ab-every", config.ab_every);
-  config.parallel_every =
-      cli.get_int("parallel-every", config.parallel_every);
-  config.parallel_threads = static_cast<int>(
-      cli.get_int("parallel-threads", config.parallel_threads));
-  if (const std::string tile = cli.get("parallel-tile", ""); !tile.empty()) {
-    // WxH, matching SCM_TILE and ProfileSession's --tile.
-    long long w = 0;
-    long long h = 0;
-    if (std::sscanf(tile.c_str(), "%lldx%lld", &w, &h) == 2 && w > 0 &&
-        h > 0) {
-      config.parallel_tile_cols = static_cast<scm::index_t>(w);
-      config.parallel_tile_rows = static_cast<scm::index_t>(h);
-    } else {
-      std::cerr << "fuzz: bad --parallel-tile '" << tile
-                << "' (expected WxH)\n";
-      return 2;
-    }
+  try {
+    config.seed = static_cast<std::uint64_t>(
+        cli.get_int("seed", static_cast<std::int64_t>(config.seed)));
+    config.cases = cli.get_int("cases", config.cases);
+    config.time_budget_seconds =
+        cli.get_double("time-budget", config.time_budget_seconds);
+    config.max_n = cli.get_int("max-n", 0);
+    config.metamorphic_every =
+        cli.get_int("metamorphic-every", config.metamorphic_every);
+    config.ab_every = cli.get_int("ab-every", config.ab_every);
+    config.shrink_attempts =
+        cli.get_int("shrink-attempts", config.shrink_attempts);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "fuzz: " << e.what() << "\n";
+    return 2;
   }
-  config.shrink_attempts =
-      cli.get_int("shrink-attempts", config.shrink_attempts);
   config.fit = cli.has("fit-bounds");
   const std::vector<std::string> fit_seeds =
       split_csv(cli.get("fit-seeds", ""));
@@ -127,7 +109,7 @@ int main(int argc, char** argv) {
                                                        std::cout);
     if (!replayed) {
       std::cerr << "fuzz: malformed replay token '" << replay_token
-                << "' (expected <seed>:<case>[:t<threads>x<rows>x<cols>])\n";
+                << "' (expected <seed>:<case>)\n";
       return 2;
     }
     report = std::move(*replayed);

@@ -1,7 +1,7 @@
 // Tree-workload properties: euler_tour, tree_reduce, tree_contract and
-// tree_lca, each certified by all seven oracle families of the runner
+// tree_lca, each certified by all six oracle families of the runner
 // (functional, conformance, independence, certificate, metamorphic
-// translation + relabeling, bulk-A/B, parallel engine).
+// translation + relabeling, bulk-A/B).
 //
 // The CaseInput field mapping (docs/TESTING.md):
 //   n          vertex count          edges  the tree's edge list (labels)

@@ -7,7 +7,6 @@
 #include "testing/shrink.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <ostream>
 #include <sstream>
@@ -144,38 +143,6 @@ std::optional<std::pair<std::uint64_t, index_t>> FuzzRunner::parse_token(
   return std::make_pair(seed, index);
 }
 
-std::optional<FuzzRunner::ReplayToken> FuzzRunner::parse_replay_token(
-    const std::string& token) {
-  const size_t c1 = token.find(':');
-  if (c1 == std::string::npos) return std::nullopt;
-  const size_t c2 = token.find(':', c1 + 1);
-  const auto head =
-      parse_token(c2 == std::string::npos ? token : token.substr(0, c2));
-  if (!head) return std::nullopt;
-  ReplayToken out;
-  out.seed = head->first;
-  out.case_index = head->second;
-  if (c2 != std::string::npos) {
-    const std::string suffix = token.substr(c2 + 1);
-    long long threads = 0;
-    long long rows = 0;
-    long long cols = 0;
-    char excess = 0;
-    if (std::sscanf(suffix.c_str(), "t%lldx%lldx%lld%c", &threads, &rows,
-                    &cols, &excess) != 3 ||
-        threads < 1 || rows < 1 || cols < 1) {
-      return std::nullopt;
-    }
-    parallel::Config cfg;
-    cfg.threads = static_cast<int>(threads);
-    cfg.tile_rows = static_cast<index_t>(rows);
-    cfg.tile_cols = static_cast<index_t>(cols);
-    cfg.min_parallel_batch = 1;
-    out.parallel = cfg;
-  }
-  return out;
-}
-
 std::vector<const Property*> FuzzRunner::selected() const {
   std::vector<const Property*> props;
   for (const Property& p : all_properties()) {
@@ -211,8 +178,7 @@ CaseInput FuzzRunner::generate_case(const Property& prop,
 FuzzRunner::Verdict FuzzRunner::evaluate(const Property& prop,
                                          const CaseInput& in,
                                          bool check_metamorphic,
-                                         bool check_ab,
-                                         bool check_parallel) {
+                                         bool check_ab) {
   const Execution base = execute(prop, in, check_metamorphic);
   if (!base.conformance_ok) {
     return {false, "conformance", base.conformance_report};
@@ -346,44 +312,6 @@ FuzzRunner::Verdict FuzzRunner::evaluate(const Property& prop,
     }
   }
 
-  if (check_parallel) {
-    // Seventh oracle: re-execute the case with bulk rounds charged
-    // through the sharded parallel engine (min_parallel_batch 1, so
-    // every batch takes the parallel path) and assert the Metrics are
-    // bit-identical to the base execution. The checkers run too: a
-    // parallel-only conformance or independence finding is a real bug.
-    parallel::Config cfg;
-    cfg.threads = config_.parallel_threads;
-    cfg.tile_rows = config_.parallel_tile_rows;
-    cfg.tile_cols = config_.parallel_tile_cols;
-    cfg.min_parallel_batch = 1;
-    const ScopedBulkCharging bulk(true);
-    const parallel::ScopedParallelEngine engine(cfg);
-    const Execution par = execute(prop, in);
-    if (!par.conformance_ok) {
-      return {false, "parallel",
-              "conformance under parallel engine:\n" +
-                  par.conformance_report};
-    }
-    if (!par.independence_ok) {
-      return {false, "parallel",
-              "independence under parallel engine:\n" +
-                  par.independence_report};
-    }
-    if (!par.outcome.ok) {
-      return {false, "parallel",
-              "functional failure under parallel engine: " +
-                  par.outcome.failure};
-    }
-    if (!(par.metrics == base.metrics)) {
-      std::ostringstream os;
-      os << "metrics diverged under parallel engine (threads="
-         << cfg.threads << " tile=" << cfg.tile_cols << "x" << cfg.tile_rows
-         << "): base " << base.metrics.str() << " vs parallel "
-         << par.metrics.str();
-      return {false, "parallel", os.str()};
-    }
-  }
   return {};
 }
 
@@ -391,24 +319,12 @@ FailureRecord FuzzRunner::report_failure(const Property& prop,
                                          const CaseInput& in,
                                          index_t case_index, Verdict first,
                                          bool check_metamorphic,
-                                         bool check_ab,
-                                         bool check_parallel) {
+                                         bool check_ab) {
   FailureRecord rec;
   rec.property = prop.name;
   rec.case_index = case_index;
-  {
-    std::ostringstream os;
-    os << config_.seed << ":" << case_index;
-    if (check_parallel && first.kind == "parallel") {
-      // Carry the engine shape so the replay reproduces the exact
-      // thread/tile decomposition this failure was found under. Other
-      // failure kinds reproduce without the engine, so their tokens
-      // stay in the plain two-field form.
-      os << ":t" << config_.parallel_threads << "x"
-         << config_.parallel_tile_rows << "x" << config_.parallel_tile_cols;
-    }
-    rec.replay_token = os.str();
-  }
+  rec.replay_token =
+      std::to_string(config_.seed) + ":" + std::to_string(case_index);
   rec.kind = std::move(first.kind);
   rec.detail = std::move(first.detail);
   rec.original = in;
@@ -421,9 +337,7 @@ FailureRecord FuzzRunner::report_failure(const Property& prop,
   rec.shrunk = shrink_case(
       prop, in,
       [&](const CaseInput& cand) {
-        return !evaluate(prop, cand, check_metamorphic, check_ab,
-                         check_parallel)
-                    .ok;
+        return !evaluate(prop, cand, check_metamorphic, check_ab).ok;
       },
       config_.shrink_attempts, &stats);
   config_.fit = was_fitting;
@@ -463,14 +377,12 @@ FuzzReport FuzzRunner::run(std::ostream& log) {
     const bool meta = config_.metamorphic_every > 0 &&
                       i % config_.metamorphic_every == 0;
     const bool ab = config_.ab_every > 0 && i % config_.ab_every == 0;
-    const bool par =
-        config_.parallel_every > 0 && i % config_.parallel_every == 0;
-    Verdict verdict = evaluate(prop, in, meta, ab, par);
+    Verdict verdict = evaluate(prop, in, meta, ab);
     ++report.cases_run;
     ++report.per_property[prop.name];
     if (!verdict.ok) {
       FailureRecord rec =
-          report_failure(prop, in, i, std::move(verdict), meta, ab, par);
+          report_failure(prop, in, i, std::move(verdict), meta, ab);
       log << rec.str() << "\n";
       report.failures.push_back(std::move(rec));
     } else if (config_.verbose) {
@@ -486,16 +398,10 @@ FuzzReport FuzzRunner::run(std::ostream& log) {
 
 std::optional<FuzzReport> FuzzRunner::replay(const std::string& token,
                                              std::ostream& log) {
-  const auto parsed = parse_replay_token(token);
+  const auto parsed = parse_token(token);
   if (!parsed) return std::nullopt;
-  const std::uint64_t seed = parsed->seed;
-  const index_t index = parsed->case_index;
+  const auto [seed, index] = *parsed;
   config_.seed = seed;
-  if (parsed->parallel) {
-    config_.parallel_threads = parsed->parallel->threads;
-    config_.parallel_tile_rows = parsed->parallel->tile_rows;
-    config_.parallel_tile_cols = parsed->parallel->tile_cols;
-  }
   const std::vector<const Property*> props = selected();
   FuzzReport report;
   if (props.empty()) {
@@ -515,17 +421,12 @@ std::optional<FuzzReport> FuzzRunner::replay(const std::string& token,
   const bool meta = config_.metamorphic_every > 0 &&
                     index % config_.metamorphic_every == 0;
   const bool ab = config_.ab_every > 0 && index % config_.ab_every == 0;
-  // A token suffix forces the parallel check under the carried shape;
-  // plain tokens follow the cadence the main loop would have applied.
-  const bool par = parsed->parallel.has_value() ||
-                   (config_.parallel_every > 0 &&
-                    index % config_.parallel_every == 0);
-  Verdict verdict = evaluate(prop, in, meta, ab, par);
+  Verdict verdict = evaluate(prop, in, meta, ab);
   ++report.cases_run;
   ++report.per_property[prop.name];
   if (!verdict.ok) {
     FailureRecord rec =
-        report_failure(prop, in, index, std::move(verdict), meta, ab, par);
+        report_failure(prop, in, index, std::move(verdict), meta, ab);
     log << rec.str() << "\n";
     report.failures.push_back(std::move(rec));
   } else {

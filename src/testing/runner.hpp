@@ -7,13 +7,10 @@
 // per-case Rng seeded with derive_case_seed(seed, i); `--replay=<seed>:<i>`
 // re-derives exactly that instance and re-applies the same cadence checks
 // the main loop would have (metamorphic on every `metamorphic_every`-th
-// case, bulk A/B on every `ab_every`-th, parallel-engine replay on every
-// `parallel_every`-th; a `:t<threads>x<rows>x<cols>` token suffix forces
-// the parallel check under that exact engine shape). The registry order
-// is therefore part of the replay contract — see docs/TESTING.md.
+// case, bulk A/B on every `ab_every`-th). The registry order is therefore
+// part of the replay contract — see docs/TESTING.md.
 #pragma once
 
-#include "spatial/parallel.hpp"
 #include "testing/bounds.hpp"
 #include "testing/property.hpp"
 
@@ -34,10 +31,6 @@ struct RunnerConfig {
   index_t max_n{0};               ///< 0 = each property's own max_n
   index_t metamorphic_every{5};   ///< cadence; 0 disables
   index_t ab_every{7};            ///< cadence; 0 disables
-  index_t parallel_every{11};     ///< parallel-engine cadence; 0 disables
-  int parallel_threads{4};        ///< worker count of the parallel oracle
-  index_t parallel_tile_rows{32};  ///< tile height of the parallel oracle
-  index_t parallel_tile_cols{32};  ///< tile width of the parallel oracle
   index_t shrink_attempts{400};
   bool fit{false};                ///< record ratios instead of checking
   std::vector<std::string> only;  ///< property-name filter; empty = all
@@ -48,13 +41,10 @@ struct RunnerConfig {
 struct FailureRecord {
   std::string property;
   index_t case_index{0};
-  /// "<seed>:<case>", with a ":t<threads>x<rows>x<cols>" suffix when the
-  /// failing check ran under the sharded parallel engine (so the replay
-  /// re-creates the exact thread/tile shape).
-  std::string replay_token;
+  std::string replay_token;  ///< "<seed>:<case>"
   std::string kind;    ///< "functional" / "conformance" / "independence"
                        ///< / "bound:<metric>" / "metamorphic:<variant>"
-                       ///< / "bulk-ab" / "parallel"
+                       ///< / "bulk-ab"
   std::string detail;  ///< oracle-specific explanation
   CaseInput original;
   CaseInput shrunk;
@@ -102,21 +92,6 @@ class FuzzRunner {
   static std::optional<std::pair<std::uint64_t, index_t>> parse_token(
       const std::string& token);
 
-  /// A fully parsed replay token: the case coordinates plus the optional
-  /// parallel-engine shape carried by a ":t<threads>x<rows>x<cols>"
-  /// suffix (min_parallel_batch forced to 1 so the replayed batch takes
-  /// the parallel path regardless of size).
-  struct ReplayToken {
-    std::uint64_t seed{0};
-    index_t case_index{0};
-    std::optional<parallel::Config> parallel;
-  };
-
-  /// Parses "<seed>:<case>[:t<threads>x<rows>x<cols>]" — the two-field
-  /// form stays valid, so every historical token replays unchanged.
-  static std::optional<ReplayToken> parse_replay_token(
-      const std::string& token);
-
  private:
   /// The properties selected by config.only, in registry order.
   [[nodiscard]] std::vector<const Property*> selected() const;
@@ -133,14 +108,12 @@ class FuzzRunner {
     std::string detail;
   };
   Verdict evaluate(const Property& prop, const CaseInput& in,
-                   bool check_metamorphic, bool check_ab,
-                   bool check_parallel);
+                   bool check_metamorphic, bool check_ab);
 
   /// Executes + shrinks one failing case into a FailureRecord.
   FailureRecord report_failure(const Property& prop, const CaseInput& in,
                                index_t case_index, Verdict first,
-                               bool check_metamorphic, bool check_ab,
-                               bool check_parallel);
+                               bool check_metamorphic, bool check_ab);
 
   RunnerConfig config_;
   BoundSet bounds_;

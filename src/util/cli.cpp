@@ -1,8 +1,11 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
@@ -25,6 +28,15 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
     }
   }
   return row[b.size()];
+}
+
+/// A numeric flag whose value does not parse in full is a usage error,
+/// not a zero: `--cases=abc` must not run zero cases and report success.
+[[noreturn]] void throw_unparsable(const std::string& name,
+                                   const std::string& value,
+                                   const char* expected) {
+  throw std::invalid_argument("--" + name + "=\"" + value + "\" is not " +
+                              expected);
 }
 
 }  // namespace
@@ -63,15 +75,30 @@ std::int64_t Cli::get_int(const std::string& name,
                           std::int64_t fallback) const {
   queried_.insert(name);
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::strtoll(it->second.c_str(),
-                                                      nullptr, 10);
+  if (it == flags_.end()) return fallback;
+  const std::string& value = it->second;
+  std::int64_t parsed = 0;
+  const char* const end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (value.empty() || ec != std::errc{} || ptr != end) {
+    throw_unparsable(name, value, "an integer");
+  }
+  return parsed;
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   queried_.insert(name);
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback
-                            : std::strtod(it->second.c_str(), nullptr);
+  if (it == flags_.end()) return fallback;
+  const std::string& value = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(value.c_str(), &end);
+  if (value.empty() || errno == ERANGE ||
+      end != value.c_str() + value.size()) {
+    throw_unparsable(name, value, "a number");
+  }
+  return parsed;
 }
 
 int Cli::warn_unknown(std::ostream& os) const {

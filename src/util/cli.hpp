@@ -26,6 +26,9 @@ class Cli {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
+  /// Numeric lookups parse the whole value: an empty value, trailing
+  /// characters ("5e3" for an integer, "12x") or overflow throw
+  /// std::invalid_argument naming the flag and the value.
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name,

@@ -1,7 +1,6 @@
 #include "util/profile_session.hpp"
 
 #include "spatial/machine.hpp"
-#include "spatial/parallel.hpp"
 
 #include <cstdio>
 #include <fstream>
@@ -22,30 +21,6 @@ bool write_file(const std::string& path, const std::string& content) {
 }  // namespace
 
 ProfileSession::ProfileSession(const Cli& cli) : cli_(&cli) {
-  // Parallel-engine flags are queried unconditionally so warn_unknown
-  // knows them; absent flags leave the configuration (scalar by default,
-  // or SCM_THREADS/SCM_TILE from the environment) untouched.
-  const std::int64_t threads = cli.get_int("threads", 0);
-  const std::string tile = cli.get("tile", "");
-  if (threads > 0 || !tile.empty()) {
-    parallel::Config cfg = parallel::config();
-    if (threads > 0) cfg.threads = static_cast<int>(threads);
-    if (!tile.empty()) {
-      long long w = 0;
-      long long h = 0;
-      if (std::sscanf(tile.c_str(), "%lldx%lld", &w, &h) == 2 && w > 0 &&
-          h > 0) {
-        cfg.tile_cols = static_cast<index_t>(w);
-        cfg.tile_rows = static_cast<index_t>(h);
-      } else {
-        std::fprintf(stderr,
-                     "profile: ignoring --tile=%s (expected WxH, e.g. "
-                     "--tile=64x64)\n",
-                     tile.c_str());
-      }
-    }
-    parallel::configure(cfg);
-  }
   report_path_ = cli.get("profile", "");
   trace_path_ = cli.get("trace-json", "");
   ascii_ = cli.has("profile-ascii");

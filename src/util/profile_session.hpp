@@ -18,12 +18,6 @@
 //                        --congestion)
 //   --load-heatmap       print the ASCII per-cell load heatmap (implies
 //                        the LoadMap that --profile already enables)
-//   --threads=N          run bulk rounds through the sharded parallel
-//                        engine with N workers (default: scalar, or the
-//                        SCM_THREADS environment variable)
-//   --tile=WxH           tile size (columns x rows) of the parallel
-//                        engine's grid sharding; sides round up to powers
-//                        of two (default 64x64, or SCM_TILE)
 //
 // A ProfileSession parses those flags, attaches a Profiler as the
 // process-global trace sink when any are set, and writes the artifacts in

@@ -42,24 +42,6 @@ void expect_ab_ok(const std::function<void(Machine&)>& algorithm) {
   EXPECT_EQ(r.scalar.links, r.bulk.links);
   EXPECT_GT(r.bulk.links.size(), 0u);
   EXPECT_EQ(r.scalar.congested_clock, r.bulk.congested_clock);
-
-  // Three-way: the same algorithm under the sharded parallel engine
-  // (4 workers, min_parallel_batch 1 so every batch engages it, links
-  // through a ShardedCongestionMap) must reproduce every exported number
-  // bit-for-bit. Run twice with different tile sizes so both the
-  // few-crossings and many-crossings segment decompositions are proven.
-  const AbcResult abc = run_abc(algorithm);
-  EXPECT_TRUE(abc.ok()) << abc.diff();
-  EXPECT_EQ(abc.scalar.totals, abc.parallel.totals);
-  EXPECT_EQ(abc.scalar.phases, abc.parallel.phases);
-  EXPECT_EQ(abc.scalar.links, abc.parallel.links);
-  EXPECT_EQ(abc.scalar.congested_clock, abc.parallel.congested_clock);
-  parallel::Config tiny = abc_default_config();
-  tiny.threads = 3;
-  tiny.tile_rows = 4;
-  tiny.tile_cols = 4;
-  const AbcResult abc_tiny = run_abc(algorithm, tiny);
-  EXPECT_TRUE(abc_tiny.ok()) << abc_tiny.diff();
 }
 
 TEST(BulkEquivalence, Scan) {
@@ -171,23 +153,6 @@ TEST(BulkAbHarness, CatchesPhaseBoundaryDivergence) {
   EXPECT_TRUE(r.totals_equal);
   EXPECT_FALSE(r.phases_equal);
   EXPECT_NE(r.diff().find("phase_b"), std::string::npos) << r.diff();
-}
-
-TEST(BulkAbHarness, CatchesParallelOnlyDivergence) {
-  // A fake that charges one extra message only when the parallel engine
-  // is installed: the scalar and bulk legs agree, so only the three-way
-  // harness can flag it. An ambient engine (e.g. ctest under
-  // SCM_THREADS=4) would make all three legs take the extra send, so
-  // pin the baseline to scalar; run_abc's parallel leg re-enables it.
-  const parallel::ScopedParallelEngine ambient_off{parallel::Config{}};
-  const AbcResult r = run_abc([](Machine& m) {
-    Clock c = m.send({0, 0}, {0, 1}, Clock{});
-    if (parallel::engine() != nullptr) c = m.send({0, 1}, {0, 2}, c);
-  });
-  EXPECT_FALSE(r.ok());
-  EXPECT_FALSE(r.totals_equal);
-  EXPECT_EQ(r.scalar.totals, r.bulk.totals);
-  EXPECT_NE(r.diff().find("parallel"), std::string::npos) << r.diff();
 }
 
 // ---- send_bulk edge cases --------------------------------------------------

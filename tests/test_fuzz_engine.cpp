@@ -100,32 +100,30 @@ TEST(FuzzRunnerTokens, ParseTokenRejectsMalformedInput) {
 }
 
 TEST(FuzzRunnerTokens, ReplayTokenBackwardCompatibleTwoFieldForm) {
-  const auto parsed = FuzzRunner::parse_replay_token("2026:17");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->seed, 2026u);
-  EXPECT_EQ(parsed->case_index, 17);
-  EXPECT_FALSE(parsed->parallel.has_value());
-}
-
-TEST(FuzzRunnerTokens, ReplayTokenCarriesParallelEngineShape) {
-  const auto parsed = FuzzRunner::parse_replay_token("2026:17:t4x32x64");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->seed, 2026u);
-  EXPECT_EQ(parsed->case_index, 17);
-  ASSERT_TRUE(parsed->parallel.has_value());
-  EXPECT_EQ(parsed->parallel->threads, 4);
-  EXPECT_EQ(parsed->parallel->tile_rows, 32);
-  EXPECT_EQ(parsed->parallel->tile_cols, 64);
-  // The replay must drive every batch through the engine.
-  EXPECT_EQ(parsed->parallel->min_parallel_batch, 1);
+  RunnerConfig config;
+  config.shrink_attempts = 0;
+  std::ostringstream log;
+  FuzzRunner runner(config, BoundSet{});
+  const auto replayed = runner.replay("2026:17", log);
+  ASSERT_TRUE(replayed.has_value()) << log.str();
+  EXPECT_EQ(replayed->cases_run, 1);
+  EXPECT_FALSE(runner.replay("2026:17:t4x32x64", log).has_value());
 }
 
 TEST(FuzzRunnerTokens, ReplayTokenRejectsMalformedSuffixes) {
+  // A third field is malformed, whatever its shape: the engine-shape
+  // suffixes ("2026:17:t4x32x64") older runs emitted must be rejected,
+  // not replayed as their two-field prefix under a different check.
+  RunnerConfig config;
+  config.shrink_attempts = 0;
+  std::ostringstream log;
+  FuzzRunner runner(config, BoundSet{});
   for (const char* bad :
-       {"5:3:", "5:3:t", "5:3:t4", "5:3:t4x8", "5:3:t4x8x", "5:3:tx8x8",
-        "5:3:t0x8x8", "5:3:t4x-8x8", "5:3:t4x8x8x2", "5:3:u4x8x8",
-        "5:3:t4x8x8 "}) {
-    EXPECT_FALSE(FuzzRunner::parse_replay_token(bad).has_value()) << bad;
+       {"2026:17:t4x32x64", "5:3:", "5:3:t", "5:3:t4", "5:3:t4x8",
+        "5:3:t4x8x", "5:3:tx8x8", "5:3:t0x8x8", "5:3:t4x-8x8",
+        "5:3:t4x8x8x2", "5:3:u4x8x8", "5:3:t4x8x8 ", "5:3:t4x8x8"}) {
+    EXPECT_FALSE(FuzzRunner::parse_token(bad).has_value()) << bad;
+    EXPECT_FALSE(runner.replay(bad, log).has_value()) << bad;
   }
 }
 

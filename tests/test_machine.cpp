@@ -2,7 +2,12 @@
 // clocks, phase attribution.
 #include "spatial/machine.hpp"
 
+#include "core/scm.hpp"
+#include "spatial/bulk_ab.hpp"
+
 #include <gtest/gtest.h>
+
+#include <string>
 
 namespace scm {
 namespace {
@@ -112,6 +117,61 @@ TEST(Metrics, SinceSubtractsAdditiveCounters) {
   EXPECT_EQ(delta.energy, 5);
   EXPECT_EQ(delta.messages, 1);
   EXPECT_EQ(delta.local_ops, 2);
+}
+
+// ---- phases() caching ----------------------------------------------------
+
+TEST(MachinePhases, CachedReferenceInvalidatedOnMutation) {
+  const ScopedBulkCharging bulk(true);
+  Machine m;
+  {
+    const Machine::PhaseScope p(m, "alpha");
+    m.send({0, 0}, {0, 3}, Clock{});
+  }
+  const auto& first = m.phases();
+  EXPECT_EQ(first.size(), 1u);
+  EXPECT_EQ(first.at("alpha").energy, 3);
+  // Repeated calls return the same object without rebuilding.
+  EXPECT_EQ(&first, &m.phases());
+  // Charging under an active phase invalidates; the same reference
+  // observes the refreshed contents on the next call.
+  {
+    const Machine::PhaseScope p(m, "alpha");
+    m.send({0, 0}, {0, 2}, Clock{});
+  }
+  const auto& second = m.phases();
+  EXPECT_EQ(&first, &second);
+  EXPECT_EQ(second.at("alpha").energy, 5);
+  {
+    const Machine::PhaseScope p(m, "beta");
+    m.op(4);
+  }
+  EXPECT_EQ(m.phases().size(), 2u);
+  EXPECT_EQ(m.phases().at("beta").local_ops, 4);
+  m.reset();
+  EXPECT_TRUE(m.phases().empty());
+}
+
+TEST(MachinePhases, CostReportByteIdenticalWithCacheHitsInterleaved) {
+  const auto run = [](bool query_between_charges) {
+    Machine m;
+    {
+      const Machine::PhaseScope p(m, "report-a");
+      m.send({0, 0}, {4, 4}, Clock{});
+      if (query_between_charges) (void)m.phases();
+      m.send({1, 1}, {2, 7}, Clock{});
+    }
+    if (query_between_charges) (void)m.phases();
+    {
+      const Machine::PhaseScope p(m, "report-b");
+      m.op(3);
+    }
+    return cost_report(m);
+  };
+  const std::string cold = run(false);
+  const std::string warm = run(true);
+  EXPECT_FALSE(cold.empty());
+  EXPECT_EQ(cold, warm);  // cache hits must never change report bytes
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Tests of the spatial tree workload tier (src/tree/): host-reference
 // oracles, machine-vs-host agreement across every generator family and a
 // size ladder, metamorphic exactness (relabeling and translation leave
-// all metrics bit-identical), and the three-way scalar/bulk/parallel
-// charging identity (run_abc) for each algorithm under two engine shapes.
+// all metrics bit-identical), and the scalar/bulk charging identity
+// (run_ab) for each algorithm.
 #include "tree/tree.hpp"
 
 #include "collectives/operators.hpp"
@@ -249,28 +249,18 @@ TEST(TreeMetamorphic, TranslationPreservesEveryMetric) {
   EXPECT_EQ(at_origin, shifted);
 }
 
-// ---- scalar / bulk / parallel charging identity ----------------------------
+// ---- scalar / bulk charging identity --------------------------------------
 
-void expect_abc_identical(const std::function<void(Machine&)>& algorithm) {
-  const AbcResult wide = run_abc(algorithm);
-  EXPECT_TRUE(wide.ok()) << wide.diff();
-  EXPECT_GT(wide.bulk.totals.messages, 0);
-  // A second, deliberately tiny engine shape: 3 workers over 4 x 4 tiles
-  // maximizes tile crossings and shard churn.
-  parallel::Config tiny;
-  tiny.threads = 3;
-  tiny.tile_rows = 4;
-  tiny.tile_cols = 4;
-  tiny.min_parallel_batch = 1;
-  const AbcResult narrow = run_abc(algorithm, tiny);
-  EXPECT_TRUE(narrow.ok()) << narrow.diff();
-  EXPECT_EQ(wide.bulk.totals, narrow.bulk.totals);
+void expect_ab_identical(const std::function<void(Machine&)>& algorithm) {
+  const AbResult r = run_ab(algorithm);
+  EXPECT_TRUE(r.ok()) << r.diff();
+  EXPECT_GT(r.bulk.totals.messages, 0);
 }
 
 TEST(TreeAbc, EulerTourChargesIdentically) {
   const Tree t = make_tree(0xAB1, 19, TreeShape::kCaterpillar);
   const DenseTree dt = tree::normalize(t);
-  expect_abc_identical(
+  expect_ab_identical(
       [&](Machine& m) { (void)tree::euler_tour(m, dt, {0, 0}); });
 }
 
@@ -278,7 +268,7 @@ TEST(TreeAbc, ReductionsChargeIdentically) {
   const Tree t = make_tree(0xAB2, 17, TreeShape::kBalancedBinary);
   const DenseTree dt = tree::normalize(t);
   const std::vector<std::int64_t> x = make_values(0xAB2, 17);
-  expect_abc_identical([&](Machine& m) {
+  expect_ab_identical([&](Machine& m) {
     const tree::EulerTour tour = tree::euler_tour(m, dt, {0, 0});
     const auto neg = [](std::int64_t v) { return -v; };
     (void)tree::rootfix(m, tour, dense_values(dt, x), Plus{}, neg);
@@ -291,7 +281,7 @@ TEST(TreeAbc, ContractionChargesIdentically) {
   const Tree t = make_tree(0xAB3, 15, TreeShape::kRandomPrufer);
   const DenseTree dt = tree::normalize(t);
   const std::vector<std::int64_t> x = make_values(0xAB3, 15);
-  expect_abc_identical([&](Machine& m) {
+  expect_ab_identical([&](Machine& m) {
     (void)tree::tree_contract(m, dt, dense_values(dt, x), Plus{}, 7, {0, 0});
   });
 }
@@ -308,7 +298,7 @@ TEST(TreeAbc, LcaChargesIdentically) {
     a = dt.to_dense[static_cast<size_t>(a)];
     b = dt.to_dense[static_cast<size_t>(b)];
   }
-  expect_abc_identical([&](Machine& m) {
+  expect_ab_identical([&](Machine& m) {
     const tree::EulerTour tour = tree::euler_tour(m, dt, {0, 0});
     (void)tree::lca(m, dt, tour, qs, {0, 0});
   });

@@ -1,12 +1,10 @@
 // Tests of the bench-harness utilities: exponent fitting, series
 // registration and claim checking, table printing, CLI parsing, and the
 // COO generators.
-#include "spatial/parallel.hpp"
 #include "spmv/generators.hpp"
 #include "util/cli.hpp"
 #include "util/fit.hpp"
 #include "util/json.hpp"
-#include "util/profile_session.hpp"
 #include "util/series.hpp"
 #include "util/table.hpp"
 
@@ -14,6 +12,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace scm {
 namespace {
@@ -184,6 +184,36 @@ TEST(Cli, ParsesFlagsInBothForms) {
   EXPECT_EQ(cli.get_int("missing", 42), 42);
   EXPECT_EQ(cli.get_double("missing", 2.5), 2.5);
   EXPECT_FALSE(cli.has("positional"));
+  EXPECT_EQ(cli.get_int("missing", -3), -3);
+
+  // Numeric lookups parse the whole value: anything else is a usage error
+  // naming the flag and the value, never a silent 0 (or 5 for "5e3").
+  const char* bad[] = {"prog", "--a=abc", "--b=5e3", "--c=12x", "--d=",
+                       "--e=99999999999999999999", "--f=1.5x"};
+  util::Cli strict(7, const_cast<char**>(bad));
+  for (const char* name : {"a", "b", "c", "d", "e"}) {
+    try {
+      (void)strict.get_int(name, 0);
+      ADD_FAILURE() << "--" << name << " parsed as an integer";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + name),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* name : {"a", "c", "d", "f"}) {
+    EXPECT_THROW((void)strict.get_double(name, 0.0), std::invalid_argument)
+        << name;
+  }
+  EXPECT_EQ(strict.get_double("b", 0.0), 5e3);  // a valid double
+  // A bare flag holds "true", which is not a number.
+  EXPECT_THROW((void)cli.get_int("flag", 1), std::invalid_argument);
+
+  const char* good[] = {"prog", "--neg=-12", "--x=0.25", "--big=1e300"};
+  util::Cli valid(4, const_cast<char**>(good));
+  EXPECT_EQ(valid.get_int("neg", 0), -12);
+  EXPECT_EQ(valid.get_double("x", 0.0), 0.25);
+  EXPECT_EQ(valid.get_double("big", 0.0), 1e300);
 }
 
 TEST(Cli, WarnUnknownSuggestsTheIntendedFlag) {
@@ -219,44 +249,6 @@ TEST(Cli, WarnUnknownExemptsBenchmarkFlags) {
   EXPECT_EQ(cli.warn_unknown(os), 1);
   EXPECT_NE(os.str().find("--mystery"), std::string::npos);
   EXPECT_EQ(os.str().find("benchmark"), std::string::npos);
-}
-
-TEST(ProfileSessionFlags, ThreadsAndTileConfigureTheParallelEngine) {
-  const parallel::Config saved = parallel::config();
-  {
-    const char* argv[] = {"prog", "--threads=2", "--tile=16x8"};
-    util::Cli cli(3, const_cast<char**>(argv));
-    const util::ProfileSession session(cli);
-    // Parallel flags alone don't turn on profiling artifacts...
-    EXPECT_FALSE(session.active());
-    // ...but they install the engine: 2 workers, 16-column x 8-row tiles.
-    EXPECT_EQ(parallel::config().threads, 2);
-    EXPECT_EQ(parallel::config().tile_cols, 16);
-    EXPECT_EQ(parallel::config().tile_rows, 8);
-    EXPECT_NE(parallel::engine(), nullptr);
-    // Both flags are queried, so warn_unknown has nothing to report.
-    std::ostringstream os;
-    EXPECT_EQ(cli.warn_unknown(os), 0) << os.str();
-  }
-  parallel::configure(saved);
-}
-
-TEST(ProfileSessionFlags, DefaultStaysScalarAndBadTileIsIgnored) {
-  const parallel::Config saved = parallel::config();
-  {
-    const char* argv[] = {"prog"};
-    util::Cli cli(1, const_cast<char**>(argv));
-    const util::ProfileSession session(cli);
-    EXPECT_EQ(parallel::config(), saved);  // no flags: configuration kept
-  }
-  {
-    const char* argv[] = {"prog", "--tile=bogus"};
-    util::Cli cli(2, const_cast<char**>(argv));
-    const util::ProfileSession session(cli);  // warns on stderr, ignores
-    EXPECT_EQ(parallel::config().tile_rows, saved.tile_rows);
-    EXPECT_EQ(parallel::config().tile_cols, saved.tile_cols);
-  }
-  parallel::configure(saved);
 }
 
 TEST(Json, ParsesTheValueGrammar) {

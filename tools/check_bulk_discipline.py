@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Bulk-discipline lint for the SCM simulator sources.
 
-The sharded bulk engine (Machine::send_bulk / op_bulk / send_elements)
-assumes every round is issued as one batch, under a named phase, over
-storage that outlives the call. This lint enforces the source-level half
+Machine::send_bulk / op_bulk / send_elements charge a whole round as one
+batch: a legal rewrite of the per-message model only because the model
+delivers a round's messages concurrently. They assume every round is
+issued as one batch, under a named phase, over storage that outlives the
+call. This lint enforces the source-level half
 of that contract; the runtime half (batch independence) is checked by
 src/spatial/independence.*. Three rules:
 
