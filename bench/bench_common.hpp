@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -65,13 +66,17 @@ inline SweepRange& sweep_range() {
 }
 
 /// Standard per-main setup: fully buffer stdout (util::buffer_stdio) and
-/// read --min-n / --max-n into the sweep window. Call right after
-/// constructing the Cli (benchmark cases run later, from
-/// RunSpecifiedBenchmarks).
+/// read --min-n / --max-n into the sweep window; a malformed value exits
+/// with a usage error (status 2). Call right after constructing the Cli
+/// (benchmark cases run later, from RunSpecifiedBenchmarks).
 inline void configure_sweep(const util::Cli& cli) {
   util::buffer_stdio();
-  sweep_range().min_n = cli.get_int("min-n", sweep_range().min_n);
-  sweep_range().max_n = cli.get_int("max-n", sweep_range().max_n);
+  try {
+    sweep_range().min_n = cli.get_int("min-n", sweep_range().min_n);
+    sweep_range().max_n = cli.get_int("max-n", sweep_range().max_n);
+  } catch (const std::invalid_argument& e) {
+    cli.exit_usage(e);
+  }
 }
 
 /// True (after burning the mandatory iteration loop and labeling the row

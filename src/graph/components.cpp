@@ -37,7 +37,9 @@ struct ByTail {
 }  // namespace
 
 ComponentsResult connected_components(Machine& m, const EdgeList& graph) {
-  Machine::PhaseScope scope(m, "connected_components");
+  static const PhaseId kPhase =
+      PhaseRegistry::instance().intern("connected_components");
+  Machine::PhaseScope scope(m, kPhase);
   const index_t n = graph.n_vertices;
   ComponentsResult out;
   out.label.resize(static_cast<size_t>(n));

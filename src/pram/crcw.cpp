@@ -73,7 +73,8 @@ std::vector<char> detect_leaders(Machine& machine,
 std::vector<Word> simulate_crcw(Machine& machine, const Program& prog,
                                 std::vector<Word> memory) {
   validate(prog, memory);
-  Machine::PhaseScope scope(machine, "pram_crcw");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("pram_crcw");
+  Machine::PhaseScope scope(machine, kPhase);
   const index_t p = prog.num_processors();
   const index_t mc = prog.num_cells();
   const index_t sentinel = mc;  // greater than any real cell index

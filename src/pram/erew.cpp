@@ -27,7 +27,8 @@ Coord mem_coord(const Rect& mem, index_t cell) {
 std::vector<Word> simulate_erew(Machine& machine, const Program& prog,
                                 std::vector<Word> memory) {
   validate(prog, memory);
-  Machine::PhaseScope scope(machine, "pram_erew");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("pram_erew");
+  Machine::PhaseScope scope(machine, kPhase);
   const index_t p = prog.num_processors();
   const index_t mc = prog.num_cells();
   const PramPlacement place = default_placement(p, mc);

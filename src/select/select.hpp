@@ -76,7 +76,8 @@ template <class T, class Less = std::less<T>>
   const index_t n = input.size();
   assert(k >= 1 && k <= n);
   assert(config.c >= 3.0);
-  Machine::PhaseScope scope(m, "select_rank");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("select_rank");
+  Machine::PhaseScope scope(m, kPhase);
   using E = WithId<T>;
   const TotalLess<Less> total{less};
 
@@ -158,13 +159,13 @@ template <class T, class Less = std::less<T>>
     }
     const Clock at_origin =
         m.send(sorted.coord(r - 1), el.region().origin(), pivots_ready);
-    const GridArray<char> pivot_bcast =
-        broadcast(m, el.region(), Cell<char>{0, at_origin});
+    const BroadcastTree& pivot_bcast =
+        broadcast_tree(m, el.region(), at_origin);
     auto ctrl_at = [&](index_t i) {
       const Coord cd = el.coord(i);
       const Rect& reg = el.region();
-      return pivot_bcast[(cd.row - reg.row0) * reg.cols + (cd.col - reg.col0)]
-          .clock;
+      return pivot_bcast.arrival(at_origin, cd.row - reg.row0,
+                                 cd.col - reg.col0);
     };
 
     // Step 5: count actives below s_l / above s_r with an all-reduce.
@@ -272,7 +273,8 @@ template <class T, class Less = std::less<T>>
                                  index_t k, std::uint64_t seed,
                                  Less less = Less{}) {
   assert(k >= 0 && k <= input.size());
-  Machine::PhaseScope scope(m, "top_k");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("top_k");
+  Machine::PhaseScope scope(m, kPhase);
   if (k == 0) {
     return GridArray<T>(Rect{input.region().row0, input.region().col0, 1, 1},
                         Layout::kZOrder, 0);

@@ -15,7 +15,8 @@ SolveResult conjugate_gradient(Machine& m, const CooMatrix& a,
   if (a.n_rows() != a.n_cols()) {
     throw std::invalid_argument("conjugate_gradient: matrix must be square");
   }
-  Machine::PhaseScope scope(m, "solver_cg");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("solver_cg");
+  Machine::PhaseScope scope(m, kPhase);
   const auto n = static_cast<size_t>(a.n_rows());
   SolveResult out;
   out.x.assign(n, 0.0);
@@ -49,7 +50,9 @@ SolveResult jacobi(Machine& m, const CooMatrix& a,
   if (a.n_rows() != a.n_cols()) {
     throw std::invalid_argument("jacobi: matrix must be square");
   }
-  Machine::PhaseScope scope(m, "solver_jacobi");
+  static const PhaseId kPhase =
+      PhaseRegistry::instance().intern("solver_jacobi");
+  Machine::PhaseScope scope(m, kPhase);
   const auto n = static_cast<size_t>(a.n_rows());
 
   // Split A = D + R; D must have no zero entries.
@@ -107,7 +110,9 @@ SolveResult power_iteration(Machine& m, const CooMatrix& a,
   if (static_cast<index_t>(x0.size()) != a.n_rows()) {
     throw std::invalid_argument("power_iteration: bad initial vector size");
   }
-  Machine::PhaseScope scope(m, "solver_power");
+  static const PhaseId kPhase =
+      PhaseRegistry::instance().intern("solver_power");
+  Machine::PhaseScope scope(m, kPhase);
   SolveResult out;
   out.x = std::move(x0);
   double lambda = 0.0;

@@ -25,9 +25,10 @@
 // holds O(1) extra words during the sort, within the model's memory bound.
 //
 // Host side: every block holds a copy of the same n values, so the
-// simulator keeps only the per-processor arrival clocks of the block
-// broadcasts and array copies, in two flat per-call buffers, and decodes
-// the block-local Z-order offsets once per call.
+// simulator keeps only clocks: the array copies' arrival clocks in one
+// flat per-call buffer, and the block broadcasts' from the shared s x s
+// broadcast tree. It decodes the block-local Z-order offsets once per
+// call.
 #pragma once
 
 #include "collectives/broadcast.hpp"
@@ -170,17 +171,14 @@ template <class T, class Less>
   m.send_bulk(batch);
   for (size_t i = 0; i < un; ++i) corner[i] = batch[i].arrival;
 
-  // Step 2: broadcast A_i within block i. `own[i * cells + k]` is its
-  // arrival clock at row-major processor k of block i.
-  std::vector<Clock> own(un * static_cast<size_t>(cells));
+  // Step 2: broadcast A_i within block i. Every block has the same s x s
+  // tree, so processor k of block i holds A_i from
+  // block.arrival(corner[i], row, col) on; step 4 reads that directly.
+  const BroadcastTree& block = BroadcastTree::of(s, s);
   for (index_t i = 0; i < n; ++i) {
     const Coord o = block_origin(i);
-    Clock* const dst = own.data() + static_cast<size_t>(i * cells);
-    broadcast_to(m, Rect{o.row, o.col, s, s},
-                 Cell<char>{0, corner[static_cast<size_t>(i)]},
-                 [&](Coord c, const Cell<char>& v) {
-                   dst[(c.row - o.row) * s + (c.col - o.col)] = v.clock;
-                 });
+    broadcast_tree(m, Rect{o.row, o.col, s, s},
+                   corner[static_cast<size_t>(i)]);
   }
 
   // Step 3: copy A to every block (block 0 holds it already, cost-free).
@@ -206,14 +204,14 @@ template <class T, class Less>
   std::vector<index_t> ranks(un);
   for (index_t i = 0; i < n; ++i) {
     const Coord o = block_origin(i);
-    const Clock* const mine = own.data() + static_cast<size_t>(i * cells);
+    const Clock root = corner[static_cast<size_t>(i)];  // step 2's root
     const Clock* const copy = copies.data() + static_cast<size_t>(i * n);
     const T& self = a[i].value;
     for (index_t j = 0; j < n; ++j) {
-      const index_t k = rm[static_cast<size_t>(j)];
-      bits[static_cast<size_t>(k)] = Cell<index_t>{
+      const Offset2D& off = local[static_cast<size_t>(j)];
+      bits[static_cast<size_t>(rm[static_cast<size_t>(j)])] = Cell<index_t>{
           less(a[j].value, self) ? index_t{1} : index_t{0},
-          Clock::join(copy[j], mine[k])};
+          Clock::join(copy[j], block.arrival(root, off.row, off.col))};
     }
     m.op_bulk(n);
     const Cell<index_t> rank = reduce_from<index_t>(

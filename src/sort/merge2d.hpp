@@ -147,12 +147,14 @@ GridArray<T> merge_base(Machine& m,
 
 /// Routes `count` elements of `src` starting at `first` into the output
 /// range starting at out position `dst_i`, joining each element's clock
-/// with the broadcast plan's arrival at the element's processor (`plan`
-/// holds one clock per processor of `plan_rect`, row-major).
+/// with the routing plan's arrival at the element's processor: `plan` is
+/// the broadcast tree of `plan_rect`, whose origin held the plan at clock
+/// `plan_root`.
 template <class T>
 void route_split(Machine& m, const GridArray<T>& src, index_t first,
                  index_t count, GridArray<T>& out, index_t dst_i,
-                 const std::vector<Clock>& plan, const Rect& plan_rect) {
+                 const BroadcastTree& plan, const Rect& plan_rect,
+                 Clock plan_root) {
   if (count == 0) return;
   const std::span<const Coord> src_at = src.coords();
   const std::span<const Coord> out_at = out.coords();
@@ -161,9 +163,9 @@ void route_split(Machine& m, const GridArray<T>& src, index_t first,
     const Coord from = src_at[static_cast<size_t>(first + i)];
     Clock clock = src[first + i].clock;
     if (plan_rect.contains(from)) {
-      const index_t pi = (from.row - plan_rect.row0) * plan_rect.cols +
-                         (from.col - plan_rect.col0);
-      clock = Clock::join(clock, plan[static_cast<size_t>(pi)]);
+      clock = Clock::join(
+          clock, plan.arrival(plan_root, from.row - plan_rect.row0,
+                              from.col - plan_rect.col0));
     }
     batch[static_cast<size_t>(i)] = MessageEvent{
         from, out_at[static_cast<size_t>(dst_i + i)], 0, clock, Clock{}};
@@ -251,18 +253,13 @@ template <class T, class Less>
 
   // Step 2: broadcast the routing plan over the working area, then route
   // every element to its quadrant sub-range. Routing only needs the
-  // plan's arrival clock at each processor, so that is all the host keeps.
+  // plan's arrival clock at each processor, which the broadcast tree
+  // gives in closed form.
   const Rect extent = detail::bounding_rect(region, dst_offset, n);
   const Clock plan_ready =
       Clock::join({s1.clock, s2.clock, s3.clock});
   const Clock plan_at_corner = m.send(work, extent.origin(), plan_ready);
-  std::vector<Clock> plan(static_cast<size_t>(extent.size()));
-  broadcast_to(m, extent, Cell<char>{0, plan_at_corner},
-               [&](Coord c, const Cell<char>& v) {
-                 const index_t k = (c.row - extent.row0) * extent.cols +
-                                   (c.col - extent.col0);
-                 plan[static_cast<size_t>(k)] = v.clock;
-               });
+  const BroadcastTree& plan = broadcast_tree(m, extent, plan_at_corner);
 
   const index_t a_cuts[5] = {0, s1.a_count, s2.a_count, s3.a_count, a.size()};
   const index_t b_cuts[5] = {0, s1.b_count, s2.b_count, s3.b_count, b.size()};
@@ -278,10 +275,10 @@ template <class T, class Less>
       quad_a[q] = a_cuts[q + 1] - a_cuts[q];
       quad_b[q] = b_cuts[q + 1] - b_cuts[q];
       detail::route_split(m, a, a_cuts[q], quad_a[q], staged, pos, plan,
-                          extent);
+                          extent, plan_at_corner);
       pos += quad_a[q];
       detail::route_split(m, b, b_cuts[q], quad_b[q], staged, pos, plan,
-                          extent);
+                          extent, plan_at_corner);
       pos += quad_b[q];
     }
     assert(pos == n);

@@ -8,15 +8,13 @@ namespace scm {
 
 TraceSink* Machine::global_trace_ = nullptr;
 
-namespace {
 // Process-wide A/B switch for the equivalence harness; `true` is the
 // production fast path.
-bool g_bulk_charging = true;
-}  // namespace
+bool Machine::bulk_charging_ = true;
 
-void Machine::set_bulk_charging(bool enabled) { g_bulk_charging = enabled; }
+void Machine::set_bulk_charging(bool enabled) { bulk_charging_ = enabled; }
 
-bool Machine::bulk_charging() { return g_bulk_charging; }
+bool Machine::bulk_charging() { return bulk_charging_; }
 
 void Machine::set_global_trace(TraceSink* sink) { global_trace_ = sink; }
 
@@ -40,7 +38,7 @@ Clock Machine::send(Coord from, Coord to, Clock payload) {
 
 void Machine::send_bulk(std::span<MessageEvent> batch) {
   if (batch.empty()) return;
-  if (!g_bulk_charging) {
+  if (!bulk_charging_) {
     // Scalar reference path: decompose in batch order. The arrival clocks
     // (and filled distances) are the same values the fast path computes.
     for (MessageEvent& e : batch) {
@@ -103,7 +101,7 @@ void Machine::death(Coord at) {
 
 void Machine::birth_bulk(std::span<const BirthEvent> batch) {
   if (batch.empty()) return;
-  if (!g_bulk_charging) {
+  if (!bulk_charging_) {
     for (const BirthEvent& b : batch) birth(b.at, b.clock);
     return;
   }
@@ -116,7 +114,7 @@ void Machine::birth_bulk(std::span<const BirthEvent> batch) {
 
 void Machine::death_bulk(std::span<const Coord> batch) {
   if (batch.empty()) return;
-  if (!g_bulk_charging) {
+  if (!bulk_charging_) {
     for (const Coord c : batch) death(c);
     return;
   }

@@ -75,6 +75,32 @@ class Machine {
   /// reference mode), the batch decomposes into scalar send() calls.
   void send_bulk(std::span<MessageEvent> batch);
 
+  /// Charges a message tree whose totals are known in advance (a cached
+  /// broadcast tree, collectives/broadcast.hpp). `totals` is what the
+  /// tree's messages add up to: summed distance, message count, and the
+  /// join of every arrival clock. `walk(hop)` replays the tree, calling
+  /// `hop(from, to, payload) -> arrival` once per edge in emission order.
+  ///
+  /// Metrics-identical to send() per edge. With bulk charging on and no
+  /// sink attached, the tree is one accrual and the walk does not run.
+  /// Otherwise (a sink is attached, or bulk charging is off for the A/B
+  /// reference) every edge is a send(), so sinks see the same event stream.
+  /// A tree without messages charges nothing.
+  template <class Walk>
+  void send_tree(const Metrics& totals, Walk&& walk) {
+    if (bulk_charging_ && trace_ == nullptr && global_trace_ == nullptr) {
+      if (totals.messages > 0) {
+        accrue(totals.energy, totals.messages, totals.local_ops,
+               totals.max_clock);
+      }
+      return;
+    }
+    auto hop = [this](Coord from, Coord to, Clock payload) {
+      return send(from, to, payload);
+    };
+    walk(hop);
+  }
+
   /// Records `n` local compute operations (free in the model's metrics;
   /// reported to trace sinks via TraceSink::on_op for per-phase work
   /// attribution).
@@ -278,6 +304,7 @@ class Machine {
   TraceSink* trace_{nullptr};
 
   static TraceSink* global_trace_;
+  static bool bulk_charging_;  // set_bulk_charging(); true = fast path
 };
 
 }  // namespace scm

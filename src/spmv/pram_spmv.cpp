@@ -241,7 +241,8 @@ std::vector<double> BrentSpmvProgram::extract_result(
 
 std::vector<double> spmv_pram(Machine& machine, const CooMatrix& a,
                               const std::vector<double>& x) {
-  Machine::PhaseScope scope(machine, "spmv_pram");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("spmv_pram");
+  Machine::PhaseScope scope(machine, kPhase);
   if (a.nnz() == 0) {
     return std::vector<double>(static_cast<size_t>(a.n_rows()), 0.0);
   }

@@ -61,7 +61,8 @@ std::vector<std::vector<double>> spmv_multi(
       throw std::invalid_argument("spmv_multi: x size mismatch");
     }
   }
-  Machine::PhaseScope scope(machine, "spmv_multi");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("spmv_multi");
+  Machine::PhaseScope scope(machine, kPhase);
   const index_t m = a.nnz();
   const index_t n_rows = a.n_rows();
   const index_t n_cols = a.n_cols();

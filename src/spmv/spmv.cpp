@@ -59,7 +59,8 @@ SpmvResult spmv(Machine& machine, const CooMatrix& a,
   if (static_cast<index_t>(x.size()) != a.n_cols()) {
     throw std::invalid_argument("spmv: x size does not match matrix columns");
   }
-  Machine::PhaseScope scope(machine, "spmv");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("spmv");
+  Machine::PhaseScope scope(machine, kPhase);
   const index_t m = a.nnz();
   const index_t n_rows = a.n_rows();
   const index_t n_cols = a.n_cols();

@@ -149,7 +149,9 @@ template <class T, class Op>
                 "tree_contract folds concurrent rakes in arbitrary order; "
                 "the operator must be commutative (use rootfix/leaffix for "
                 "group operators)");
-  Machine::PhaseScope scope(m, "tree_contract");
+  static const PhaseId kPhase =
+      PhaseRegistry::instance().intern("tree_contract");
+  Machine::PhaseScope scope(m, kPhase);
   const index_t n = t.n;
   const index_t m_arcs = 2 * (n - 1);
   ContractResult<T> out{0, values[0], 0, 0,
@@ -206,7 +208,9 @@ template <class T, class Op>
   // Leader flags via simultaneous forward hand-offs (charged once).
   std::vector<char> leader(static_cast<size_t>(m_arcs), 0);
   {
-    Machine::PhaseScope seg(m, "tree_contract/setup");
+    static const PhaseId kSetupPhase =
+        PhaseRegistry::instance().intern("tree_contract/setup");
+    Machine::PhaseScope seg(m, kSetupPhase);
     std::vector<Clock> before(static_cast<size_t>(m_arcs));
     for (index_t i = 0; i < m_arcs; ++i) {
       before[static_cast<size_t>(i)] = by[i].clock;
@@ -232,7 +236,9 @@ template <class T, class Op>
   std::vector<index_t> deg(static_cast<size_t>(n), 0);
   std::vector<Clock> v_clock(static_cast<size_t>(n));
   {
-    Machine::PhaseScope dp(m, "tree_contract/degrees");
+    static const PhaseId kDegreesPhase =
+        PhaseRegistry::instance().intern("tree_contract/degrees");
+    Machine::PhaseScope dp(m, kDegreesPhase);
     GridArray<Seg<index_t>> ones(by.region(), Layout::kZOrder, m_arcs);
     for (index_t i = 0; i < m_arcs; ++i) {
       ones[i] = Cell<Seg<index_t>>{
@@ -280,7 +286,9 @@ template <class T, class Op>
     // -- bcast: degree to segment head, fanned along the segment.
     std::vector<index_t> from_deg(static_cast<size_t>(m_arcs), 0);
     {
-      Machine::PhaseScope bp(m, "tree_contract/bcast");
+      static const PhaseId kBcastPhase =
+          PhaseRegistry::instance().intern("tree_contract/bcast");
+      Machine::PhaseScope bp(m, kBcastPhase);
       std::vector<MessageEvent> batch;
       std::vector<index_t> batch_v;
       for (index_t v = 0; v < n; ++v) {
@@ -316,7 +324,9 @@ template <class T, class Op>
     // -- exchange: live arcs swap degrees across the twin bijection.
     std::vector<index_t> to_deg(static_cast<size_t>(m_arcs), 0);
     {
-      Machine::PhaseScope ep(m, "tree_contract/exchange");
+      static const PhaseId kExchangePhase =
+          PhaseRegistry::instance().intern("tree_contract/exchange");
+      Machine::PhaseScope ep(m, kExchangePhase);
       std::vector<MessageEvent> batch;
       std::vector<index_t> batch_src;
       for (index_t i = 0; i < m_arcs; ++i) {
@@ -340,7 +350,9 @@ template <class T, class Op>
     // -- digest: per-vertex neighbourhood aggregate to the vertex cell.
     std::vector<detail::Digest> dig(static_cast<size_t>(n));
     {
-      Machine::PhaseScope gp(m, "tree_contract/digest");
+      static const PhaseId kDigestPhase =
+          PhaseRegistry::instance().intern("tree_contract/digest");
+      Machine::PhaseScope gp(m, kDigestPhase);
       GridArray<Seg<detail::Digest>> a(by.region(), Layout::kZOrder, m_arcs);
       for (index_t i = 0; i < m_arcs; ++i) {
         detail::Digest d;
@@ -401,7 +413,9 @@ template <class T, class Op>
     std::vector<T> fold_val(static_cast<size_t>(m_arcs));
     std::vector<index_t> fold_raked(static_cast<size_t>(m_arcs), 0);
     {
-      Machine::PhaseScope fp(m, "tree_contract/fold");
+      static const PhaseId kFoldPhase =
+          PhaseRegistry::instance().intern("tree_contract/fold");
+      Machine::PhaseScope fp(m, kFoldPhase);
       std::vector<MessageEvent> batch;
       struct Apply {
         index_t dst{0};
@@ -482,7 +496,9 @@ template <class T, class Op>
     // -- collect: fold everything that arrived at a vertex's segment into
     // one message to the vertex cell.
     {
-      Machine::PhaseScope cp(m, "tree_contract/collect");
+      static const PhaseId kCollectPhase =
+          PhaseRegistry::instance().intern("tree_contract/collect");
+      Machine::PhaseScope cp(m, kCollectPhase);
       GridArray<Seg<detail::FoldAcc<T>>> a(by.region(), Layout::kZOrder,
                                            m_arcs);
       for (index_t i = 0; i < m_arcs; ++i) {

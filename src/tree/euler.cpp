@@ -32,7 +32,8 @@ constexpr index_t kNil = -1;
 }  // namespace
 
 EulerTour euler_tour(Machine& m, const DenseTree& t, Coord origin) {
-  Machine::PhaseScope scope(m, "euler_tour");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("euler_tour");
+  Machine::PhaseScope scope(m, kPhase);
   const index_t n = t.n;
   const index_t m_arcs = 2 * (n - 1);
   const index_t arc_side = square_side_for(std::max<index_t>(m_arcs, 1));
@@ -87,7 +88,9 @@ EulerTour euler_tour(Machine& m, const DenseTree& t, Coord origin) {
   std::vector<char> next_same(static_cast<size_t>(m_arcs), 0);
   std::vector<index_t> seg_lo(static_cast<size_t>(m_arcs), 0);
   {
-    Machine::PhaseScope seg(m, "euler_tour/segments");
+    static const PhaseId kSegmentsPhase =
+        PhaseRegistry::instance().intern("euler_tour/segments");
+    Machine::PhaseScope seg(m, kSegmentsPhase);
     std::vector<Clock> before(static_cast<size_t>(m_arcs));
     for (index_t i = 0; i < m_arcs; ++i) before[static_cast<size_t>(i)] = by[i].clock;
     // Forward: cell i learns whether it starts a segment.
@@ -146,7 +149,9 @@ EulerTour euler_tour(Machine& m, const DenseTree& t, Coord origin) {
   std::vector<index_t> succ(static_cast<size_t>(m_arcs), kNil);
   std::vector<index_t> dist(static_cast<size_t>(m_arcs), 0);
   {
-    Machine::PhaseScope sp(m, "euler_tour/succ");
+    static const PhaseId kSuccPhase =
+        PhaseRegistry::instance().intern("euler_tour/succ");
+    Machine::PhaseScope sp(m, kSuccPhase);
     std::vector<MessageEvent> batch(static_cast<size_t>(m_arcs));
     std::vector<index_t> carried(static_cast<size_t>(m_arcs));
     for (index_t i = 0; i < m_arcs; ++i) {
@@ -180,7 +185,9 @@ EulerTour euler_tour(Machine& m, const DenseTree& t, Coord origin) {
     if (succ[static_cast<size_t>(i)] != kNil) ++active;
   }
   while (active > 0) {
-    Machine::PhaseScope round(m, "euler_tour/jump");
+    static const PhaseId kJumpPhase =
+        PhaseRegistry::instance().intern("euler_tour/jump");
+    Machine::PhaseScope round(m, kJumpPhase);
     ++out.rank_rounds;
     const std::vector<index_t> succ_snap = succ;
     const std::vector<index_t> dist_snap = dist;
@@ -224,7 +231,9 @@ EulerTour euler_tour(Machine& m, const DenseTree& t, Coord origin) {
   // ---- 5. orient: twin-rank exchange; down iff rank < twin's rank.
   std::vector<index_t> twin_rank(static_cast<size_t>(m_arcs));
   {
-    Machine::PhaseScope op(m, "euler_tour/orient");
+    static const PhaseId kOrientPhase =
+        PhaseRegistry::instance().intern("euler_tour/orient");
+    Machine::PhaseScope op(m, kOrientPhase);
     std::vector<MessageEvent> batch(static_cast<size_t>(m_arcs));
     for (index_t i = 0; i < m_arcs; ++i) {
       batch[static_cast<size_t>(i)] =
@@ -243,7 +252,9 @@ EulerTour euler_tour(Machine& m, const DenseTree& t, Coord origin) {
 
   // ---- 6. route: by rank into the tour square.
   {
-    Machine::PhaseScope rp(m, "euler_tour/route");
+    static const PhaseId kRoutePhase =
+        PhaseRegistry::instance().intern("euler_tour/route");
+    Machine::PhaseScope rp(m, kRoutePhase);
     GridArray<TourArc> staged(by.region(), Layout::kZOrder, m_arcs);
     for (index_t i = 0; i < m_arcs; ++i) {
       staged[i] = Cell<TourArc>{
@@ -263,7 +274,9 @@ EulerTour euler_tour(Machine& m, const DenseTree& t, Coord origin) {
   // result is the depth of arc r's head (down arcs descend one level, up
   // arcs return to the parent's level).
   {
-    Machine::PhaseScope dp(m, "euler_tour/depth");
+    static const PhaseId kDepthPhase =
+        PhaseRegistry::instance().intern("euler_tour/depth");
+    Machine::PhaseScope dp(m, kDepthPhase);
     GridArray<std::int64_t> delta(out.tour.region(), Layout::kZOrder, m_arcs);
     for (index_t r = 0; r < m_arcs; ++r) {
       delta[r] = Cell<std::int64_t>{out.tour[r].value.down ? 1 : -1,
@@ -283,7 +296,9 @@ EulerTour euler_tour(Machine& m, const DenseTree& t, Coord origin) {
   // its head vertex's cell (one down arc per non-root vertex: distinct
   // destinations).
   {
-    Machine::PhaseScope dl(m, "euler_tour/deliver");
+    static const PhaseId kDeliverPhase =
+        PhaseRegistry::instance().intern("euler_tour/deliver");
+    Machine::PhaseScope dl(m, kDeliverPhase);
     std::vector<index_t> down_ranks;
     down_ranks.reserve(static_cast<size_t>(n - 1));
     for (index_t r = 0; r < m_arcs; ++r) {

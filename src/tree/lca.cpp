@@ -76,7 +76,8 @@ LcaResult lca(Machine& m, const DenseTree& t, const EulerTour& tour,
               const std::vector<std::pair<index_t, index_t>>& queries,
               Coord origin) {
   (void)origin;  // placement is derived from the tour's own squares
-  Machine::PhaseScope scope(m, "tree_lca");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("tree_lca");
+  Machine::PhaseScope scope(m, kPhase);
   const index_t n = t.n;
   const index_t q = static_cast<index_t>(queries.size());
   LcaResult out;
@@ -101,7 +102,9 @@ LcaResult lca(Machine& m, const DenseTree& t, const EulerTour& tour,
   GridArray<Ent> occ =
       GridArray<Ent>::on_square(occ_origin, N, Layout::kZOrder);
   {
-    Machine::PhaseScope op(m, "tree_lca/occ");
+    static const PhaseId kOccPhase =
+        PhaseRegistry::instance().intern("tree_lca/occ");
+    Machine::PhaseScope op(m, kOccPhase);
     occ[0] = Cell<Ent>{Ent{0, 0}, Clock{}};  // the root opens the tour
     std::vector<MessageEvent> batch(static_cast<size_t>(m_arcs));
     for (index_t r = 0; r < m_arcs; ++r) {
@@ -132,7 +135,9 @@ LcaResult lca(Machine& m, const DenseTree& t, const EulerTour& tour,
     return h == 0 ? occ.coord(lo) : zorder_coord(occ.region(), lo + h);
   };
   {
-    Machine::PhaseScope rp(m, "tree_lca/rmq");
+    static const PhaseId kRmqPhase =
+        PhaseRegistry::instance().intern("tree_lca/rmq");
+    Machine::PhaseScope rp(m, kRmqPhase);
     index_t span = 4;
     for (index_t h = 1; span <= capacity; span *= 4, ++h) {
       std::vector<std::pair<index_t, index_t>> level;  // (lo, child count)
@@ -189,7 +194,9 @@ LcaResult lca(Machine& m, const DenseTree& t, const EulerTour& tour,
   // Fetches first[key(cell)] + 1 for every cell of `arr` (sorted by key)
   // and stores it via `slot`. One request/reply pair per distinct key.
   auto fetch_occurrence = [&](GridArray<Query>& arr, auto key, auto slot) {
-    Machine::PhaseScope ep(m, "tree_lca/endpoints");
+    static const PhaseId kEndpointsPhase =
+        PhaseRegistry::instance().intern("tree_lca/endpoints");
+    Machine::PhaseScope ep(m, kEndpointsPhase);
     std::vector<char> leader(static_cast<size_t>(q), 0);
     leader[0] = 1;
     if (q > 1) {
@@ -293,7 +300,9 @@ LcaResult lca(Machine& m, const DenseTree& t, const EulerTour& tour,
       qc[static_cast<size_t>(k - g)] = walk[k].clock;
     }
     for (size_t s = 0; s < max_steps; ++s) {
-      Machine::PhaseScope wp(m, "tree_lca/walk");
+      static const PhaseId kWalkPhase =
+          PhaseRegistry::instance().intern("tree_lca/walk");
+      Machine::PhaseScope wp(m, kWalkPhase);
       index_t active = 0;
       for (index_t k = g; k < g_end; ++k) {
         const auto& cov = covers[static_cast<size_t>(k)];

@@ -42,7 +42,8 @@ template <class T, class Op, class Inv>
                                      Inv inv) {
   static_assert(is_associative_v<Op>,
                 "rootfix scans require an associative operator");
-  Machine::PhaseScope scope(m, "rootfix");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("rootfix");
+  Machine::PhaseScope scope(m, kPhase);
   const index_t n = tour.n;
   const index_t m_arcs = tour.m_arcs;
   GridArray<T> vals = GridArray<T>::from_values(
@@ -56,7 +57,9 @@ template <class T, class Op, class Inv>
   // to arc 0 so no destination repeats within a batch.
   GridArray<T> contrib(tour.tour.region(), Layout::kZOrder, m_arcs);
   {
-    Machine::PhaseScope fan(m, "rootfix/fan");
+    static const PhaseId kFanPhase =
+        PhaseRegistry::instance().intern("rootfix/fan");
+    Machine::PhaseScope fan(m, kFanPhase);
     std::vector<MessageEvent> batch(static_cast<size_t>(2 * (n - 1)));
     for (index_t v = 1; v < n; ++v) {
       const Clock c = Clock::join(vals[v].clock, tour.verts[v].clock);
@@ -86,7 +89,9 @@ template <class T, class Op, class Inv>
 
   // Deliver: v's entering arc holds the inclusive path product.
   {
-    Machine::PhaseScope dl(m, "rootfix/deliver");
+    static const PhaseId kDeliverPhase =
+        PhaseRegistry::instance().intern("rootfix/deliver");
+    Machine::PhaseScope dl(m, kDeliverPhase);
     GridArray<T> res(tour.verts.region(), Layout::kRowMajor, n);
     std::vector<MessageEvent> batch(static_cast<size_t>(n - 1));
     for (index_t v = 1; v < n; ++v) {
@@ -115,7 +120,8 @@ template <class T, class Op, class Inv>
                                      Inv inv, T identity) {
   static_assert(is_associative_v<Op>,
                 "leaffix scans require an associative operator");
-  Machine::PhaseScope scope(m, "leaffix");
+  static const PhaseId kPhase = PhaseRegistry::instance().intern("leaffix");
+  Machine::PhaseScope scope(m, kPhase);
   const index_t n = tour.n;
   const index_t m_arcs = tour.m_arcs;
   GridArray<T> vals = GridArray<T>::from_values(
@@ -126,7 +132,9 @@ template <class T, class Op, class Inv>
 
   GridArray<T> contrib(tour.tour.region(), Layout::kZOrder, m_arcs);
   {
-    Machine::PhaseScope fan(m, "leaffix/fan");
+    static const PhaseId kFanPhase =
+        PhaseRegistry::instance().intern("leaffix/fan");
+    Machine::PhaseScope fan(m, kFanPhase);
     for (index_t r = 0; r < m_arcs; ++r) {
       contrib[r] = Cell<T>{identity, tour.tour[r].clock};
     }
@@ -153,7 +161,9 @@ template <class T, class Op, class Inv>
   // its end), combined at v's cell. The before-term is the identity — a
   // host constant, no message — when v's subtree opens the tour.
   {
-    Machine::PhaseScope dl(m, "leaffix/deliver");
+    static const PhaseId kDeliverPhase =
+        PhaseRegistry::instance().intern("leaffix/deliver");
+    Machine::PhaseScope dl(m, kDeliverPhase);
     GridArray<T> res(tour.verts.region(), Layout::kRowMajor, n);
     std::vector<T> before(static_cast<size_t>(n), identity);
     std::vector<Clock> before_clock(static_cast<size_t>(n));

@@ -41,7 +41,7 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
 
 }  // namespace
 
-Cli::Cli(int argc, char** argv) {
+Cli::Cli(int argc, char** argv) : program_(argc > 0 ? argv[0] : "scm") {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
     if (!arg.starts_with("--")) continue;
@@ -128,5 +128,11 @@ int Cli::warn_unknown(std::ostream& os) const {
 }
 
 int Cli::warn_unknown() const { return warn_unknown(std::cerr); }
+
+void Cli::exit_usage(const std::exception& e) const {
+  std::cerr << program_ << ": " << e.what() << "\n"
+            << "usage: " << program_ << " [--name=value | --name value]...\n";
+  std::exit(2);
+}
 
 }  // namespace scm::util

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <iosfwd>
 #include <map>
 #include <set>
@@ -43,7 +44,13 @@ class Cli {
   int warn_unknown(std::ostream& os) const;
   int warn_unknown() const;  ///< warn_unknown(std::cerr)
 
+  /// Reports a malformed flag value (what get_int/get_double throw) and a
+  /// usage line on std::cerr, then exits with status 2, the usage-error
+  /// status scm_fuzz returns too.
+  [[noreturn]] void exit_usage(const std::exception& e) const;
+
  private:
+  std::string program_;
   std::map<std::string, std::string> flags_;
   // Lookup methods are logically const; tracking what they were asked
   // for is warn_unknown bookkeeping, not observable flag state.

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 namespace scm::util {
 
@@ -29,8 +30,12 @@ ProfileSession::ProfileSession(const Cli& cli) : cli_(&cli) {
   load_heatmap_ = cli.has("load-heatmap");
   // The run report's critical-path section needs the witness; standalone
   // traces/ASCII trees don't pay for it unless asked.
-  const bool witness =
-      cli.get_int("witness", report_path_.empty() ? 0 : 1) != 0;
+  bool witness = false;
+  try {
+    witness = cli.get_int("witness", report_path_.empty() ? 0 : 1) != 0;
+  } catch (const std::invalid_argument& e) {
+    cli.exit_usage(e);
+  }
   if (report_path_.empty() && trace_path_.empty() && !ascii_ &&
       !congestion_ && !load_heatmap_) {
     return;

@@ -41,7 +41,8 @@ class ProfileSession {
  public:
   /// Reads the observability flags from `cli` (which must outlive this
   /// session) and, when any are present, installs a Profiler as the
-  /// process-global trace sink.
+  /// process-global trace sink. A malformed value (`--witness` with no
+  /// number) exits with a usage error, status 2 (Cli::exit_usage).
   explicit ProfileSession(const Cli& cli);
   ~ProfileSession();
   ProfileSession(const ProfileSession&) = delete;

@@ -17,7 +17,7 @@ src/spatial/independence.*. Three rules:
       the message or hoist it out of the round loop.
 
   bulk-call-outside-phase
-      A *_bulk / send_elements call with no PhaseScope declared in any
+      A *_bulk / send_tree / send_elements call with no PhaseScope in any
       enclosing block of the same function. Phase scopes are how bulk
       rounds are attributed (profiler phase tree, conformance imbalance,
       per-phase independence footprints); an unphased bulk call files its
@@ -66,7 +66,8 @@ DEFAULT_EXCLUDE = (
 )
 
 BULK_CALL = re.compile(
-    r"\b(?:send_bulk|op_bulk|birth_bulk|death_bulk|send_elements)\s*\(")
+    r"\b(?:send_bulk|send_tree|op_bulk|birth_bulk|death_bulk|send_elements)"
+    r"\s*\(")
 SCALAR_SEND = re.compile(r"\.\s*send\s*\(")
 PHASE_SCOPE = re.compile(r"\bPhaseScope\b")
 LOOP_HEADER = re.compile(r"^\s*(?:for|while)\s*\(")
